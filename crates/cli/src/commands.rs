@@ -1496,6 +1496,13 @@ fn serve(args: &Args) -> Result<String, CliError> {
     if !batch_window_ms.is_finite() || batch_window_ms < 0.0 {
         return Err(CliError::usage("--batch-window-ms must be >= 0"));
     }
+    let workers = args.get::<usize>("workers", 2)?;
+    let queue_cap = args.get::<usize>("queue-cap", 32)?;
+    for (flag, n) in [("--workers", workers), ("--queue-cap", queue_cap)] {
+        if n == 0 {
+            return Err(CliError::usage(format!("{flag} must be >= 1")));
+        }
+    }
     // Durability: --journal PATH arms the write-ahead journal; the fsync
     // policy grammar is parsed up front so a typo fails before the graph
     // loads. --journal-fsync without --journal is a usage error (it would
@@ -1512,8 +1519,8 @@ fn serve(args: &Args) -> Result<String, CliError> {
     };
     let scfg = ServeConfig {
         addr: args.get("addr", "127.0.0.1:0".to_string())?,
-        workers: args.get("workers", 2)?,
-        queue_cap: args.get("queue-cap", 32)?,
+        workers,
+        queue_cap,
         retry_after_ms: args.get("retry-after-ms", 25)?,
         verify,
         allow_chaos: args.flag("allow-chaos"),
@@ -1533,7 +1540,6 @@ fn serve(args: &Args) -> Result<String, CliError> {
         idle_timeout_ms: args.get("idle-timeout-ms", 30_000)?,
         ..ServeConfig::default()
     };
-    let (workers, queue_cap) = (scfg.workers, scfg.queue_cap);
 
     // Validate --arch/--compiler once up front; the factory re-parses the
     // already-validated names so quarantine rebuilds can mint fresh
@@ -2258,6 +2264,17 @@ mod tests {
         let help = run(&["help"]).unwrap();
         assert!(help.contains("USAGE"));
         assert!(help.contains("cluster"));
+    }
+
+    #[test]
+    fn serve_rejects_zero_workers_and_zero_queue_cap() {
+        let path = tmp("g_zero.bin");
+        run(&["generate", "--out", &path, "--scale", "8"]).unwrap();
+        for flag in ["--workers", "--queue-cap"] {
+            let err = run(&["serve", &path, flag, "0"]).unwrap_err();
+            assert_eq!(err.code, exit_code::USAGE, "{flag}: {err}");
+            assert!(err.message.contains(flag), "{flag}: {err}");
+        }
     }
 
     #[test]

@@ -23,7 +23,7 @@
 //!   rejected fast instead of burning a poisoned substrate.
 //! - **Graceful drain** — `shutdown` (or [`ServerHandle::initiate_drain`])
 //!   stops admissions, completes everything already accepted, closes
-//!   connections, and flushes one merged report.
+//!   connections, and builds one report from the live registry.
 //! - **Cluster serving** — `--cluster N` swaps each worker's engine for a
 //!   partitioned multi-GCD [`xbfs_multi_gcd::GcdCluster`]: the graph is
 //!   partitioned once, per-request runs reuse the partitioning, injected
@@ -44,7 +44,9 @@
 //!   new traffic — so even SIGKILL of the process loses nothing.
 //! - **Live metrics plane** — an always-on, lock-light registry
 //!   ([`metrics::ServerMetrics`]) instrumenting every stage (admission,
-//!   workers, breaker, pools, cluster health), scrapeable mid-load via
+//!   workers, breaker, pools, cluster health) and counting each serving
+//!   fact once — the `stats` op and the serve report read it back —
+//!   scrapeable mid-load via
 //!   the wire `metrics` op or a dedicated `--metrics-addr` listener
 //!   (Prometheus text + `xbfs-metrics-v1` JSON), plus a crash-forensics
 //!   flight recorder dumped on panic/quarantine/breaker-open and a live

@@ -5,10 +5,13 @@
 //!
 //! All handles are pre-registered at server start, so the hot path
 //! never touches the registry lock — an update is the one relaxed
-//! atomic the telemetry crate promises. Metric increments sit at the
-//! exact same sites as the drain-time [`crate::server::Counters`], which
-//! is what makes a mid-load scrape reconcile with the final serve
-//! report.
+//! atomic the telemetry crate promises. Each serving fact is counted
+//! once: here, or — for admissions, sheds, breaker and journal totals —
+//! by the component that owns it, mirrored into the registry at scrape
+//! time ([`Mirror`]). The `stats` wire op and the drain-time
+//! [`crate::ServeReport`] are both read back from one registry snapshot
+//! plus those owners' totals, so a mid-load scrape reconciles with the
+//! final report by construction.
 //!
 //! Per-rank cluster series and the flight-dump ledger are the two
 //! exceptions to "pre-registered": ranks appear when the first cluster
@@ -34,8 +37,7 @@ pub(crate) const WORKER_RUNNING: f64 = 1.0;
 pub(crate) const WORKER_QUARANTINED: f64 = 2.0;
 
 /// Most flight dumps kept on disk per server life; beyond this, dump
-/// requests still count but stop writing files (a crash loop must not
-/// fill the disk).
+/// requests stop writing files (a crash loop must not fill the disk).
 const MAX_FLIGHT_DUMPS: usize = 32;
 
 /// Request statuses, in the order the per-status handle arrays use.
@@ -74,20 +76,23 @@ pub struct ServerMetrics {
     pub(crate) flight: FlightRecorder,
     flight_dir: PathBuf,
     dumps: Mutex<Vec<String>>,
-    dump_requests: AtomicU64,
 
     // Admission / connection stage.
     pub(crate) requests: [Arc<Counter>; 3],
     pub(crate) latency_ms: [Arc<LogHistogram>; 3],
-    pub(crate) admitted: Arc<Counter>,
-    pub(crate) shed_queue: Arc<Counter>,
-    pub(crate) shed_breaker: Arc<Counter>,
+    pub(crate) admitted: Mirror,
+    pub(crate) shed_queue: Mirror,
+    pub(crate) shed_breaker: Mirror,
     pub(crate) rejected_draining: Arc<Counter>,
     pub(crate) deduped: Arc<Counter>,
     pub(crate) bad_lines: Arc<Counter>,
     pub(crate) long_lines: Arc<Counter>,
     pub(crate) idle_disconnects: Arc<Counter>,
     pub(crate) connections: Arc<Counter>,
+    pub(crate) dropped_connections: Arc<Counter>,
+    pub(crate) undelivered: Arc<Counter>,
+    pub(crate) replayed: Arc<Counter>,
+    pub(crate) chaos_ignored: Arc<Counter>,
     pub(crate) queue_depth: Arc<Gauge>,
     pub(crate) retry_after_ms: Arc<Gauge>,
     pub(crate) queue_wait_ms: Arc<LogHistogram>,
@@ -96,32 +101,24 @@ pub struct ServerMetrics {
     // Batching stage (all zero / empty unless `--batch-width > 1`).
     pub(crate) batches_total: Arc<Counter>,
     pub(crate) batch_size: Arc<LogHistogram>,
+    pub(crate) max_batch_size: Arc<Gauge>,
     pub(crate) batch_occupancy_pct: Arc<Gauge>,
     pub(crate) linger_wait_ms: Arc<LogHistogram>,
 
     // Breaker.
     pub(crate) breaker_state: Arc<Gauge>,
-    pub(crate) breaker_transitions: Arc<Counter>,
-    pub(crate) breaker_trips: Arc<Counter>,
-    /// High-water marks of the breaker's own totals already folded into
-    /// the counters above (scrape-time delta sync, `fetch_max`-guarded
-    /// so concurrent scrapes never double-add).
-    breaker_transitions_seen: AtomicU64,
-    breaker_trips_seen: AtomicU64,
+    pub(crate) breaker_transitions: Mirror,
+    pub(crate) breaker_trips: Mirror,
     pub(crate) flight_dumps_total: Arc<Counter>,
 
     // Durability (all zero unless `--journal` is set). The journal owns
-    // the authoritative totals; scrapes fold them in as deltas (same
-    // `fetch_max` guard as the breaker) so the append hot path touches
-    // only the journal's own relaxed atomics.
-    pub(crate) journal_appends: Arc<Counter>,
-    pub(crate) journal_fsyncs: Arc<Counter>,
-    pub(crate) journal_bytes: Arc<Counter>,
+    // the authoritative totals, so the append hot path touches only the
+    // journal's own relaxed atomics.
+    pub(crate) journal_appends: Mirror,
+    pub(crate) journal_fsyncs: Mirror,
+    pub(crate) journal_bytes: Mirror,
     pub(crate) replayed_requests: Arc<Counter>,
     pub(crate) recovery_ms: Arc<Gauge>,
-    journal_appends_seen: AtomicU64,
-    journal_fsyncs_seen: AtomicU64,
-    journal_bytes_seen: AtomicU64,
 
     // Per-worker.
     pub(crate) workers: Vec<WorkerMetrics>,
@@ -137,130 +134,77 @@ impl ServerMetrics {
     /// Flight dumps land in `flight_dir`; each lane remembers
     /// `flight_ring` events.
     pub fn new(workers: usize, flight_dir: PathBuf, flight_ring: usize) -> Self {
+        use MetricUnit::{Bytes, Count, Micros, Millis, State};
         let reg = MetricsRegistry::new();
-        let requests = STATUSES
-            .map(|s| reg.counter(live::REQUESTS_TOTAL, MetricUnit::Count, &[("status", s)]));
-        let latency_ms = STATUSES.map(|s| {
-            reg.histogram(
-                live::REQUEST_LATENCY_MS,
-                MetricUnit::Millis,
-                &[("status", s)],
-            )
-        });
-        let worker_handles = (0..workers.max(1))
+        let requests = STATUSES.map(|s| reg.counter(live::REQUESTS_TOTAL, Count, &[("status", s)]));
+        let latency_ms =
+            STATUSES.map(|s| reg.histogram(live::REQUEST_LATENCY_MS, Millis, &[("status", s)]));
+        let worker_handles = (0..workers)
             .map(|i| {
                 let w = i.to_string();
                 let l: &[(&str, &str)] = &[("worker", w.as_str())];
                 WorkerMetrics {
-                    state: reg.gauge(live::WORKER_STATE, MetricUnit::State, l),
-                    requests: reg.counter(live::WORKER_REQUESTS_TOTAL, MetricUnit::Count, l),
-                    rebuilds: reg.counter(live::WORKER_REBUILDS_TOTAL, MetricUnit::Count, l),
-                    panics: reg.counter(live::WORKER_PANICS_TOTAL, MetricUnit::Count, l),
-                    pool_hits: reg.counter(live::POOL_HITS_TOTAL, MetricUnit::Count, l),
-                    pool_misses: reg.counter(live::POOL_MISSES_TOTAL, MetricUnit::Count, l),
-                    pool_bytes: reg.gauge(live::POOL_BYTES, MetricUnit::Bytes, l),
-                    pool_pressure: reg.counter(live::POOL_PRESSURE_TOTAL, MetricUnit::Count, l),
+                    state: reg.gauge(live::WORKER_STATE, State, l),
+                    requests: reg.counter(live::WORKER_REQUESTS_TOTAL, Count, l),
+                    rebuilds: reg.counter(live::WORKER_REBUILDS_TOTAL, Count, l),
+                    panics: reg.counter(live::WORKER_PANICS_TOTAL, Count, l),
+                    pool_hits: reg.counter(live::POOL_HITS_TOTAL, Count, l),
+                    pool_misses: reg.counter(live::POOL_MISSES_TOTAL, Count, l),
+                    pool_bytes: reg.gauge(live::POOL_BYTES, Bytes, l),
+                    pool_pressure: reg.counter(live::POOL_PRESSURE_TOTAL, Count, l),
                     last_pool: Mutex::new(PoolGauges::default()),
                 }
             })
             .collect();
+        let count = |name| reg.counter(name, Count, &[]);
+        let gauge = |name, unit| reg.gauge(name, unit, &[]);
+        let millis = |name| reg.histogram(name, Millis, &[]);
+        let micros = |name| reg.counter(name, Micros, &[]);
+        let shed =
+            |reason| Mirror::new(reg.counter(live::SHED_TOTAL, Count, &[("reason", reason)]));
+        let mirror = |name| Mirror::new(count(name));
         Self {
-            flight: FlightRecorder::new(workers.max(1), flight_ring.max(8)),
+            flight: FlightRecorder::new(workers, flight_ring.max(8)),
             flight_dir,
             dumps: Mutex::new(Vec::new()),
-            dump_requests: AtomicU64::new(0),
             requests,
             latency_ms,
-            admitted: reg.counter(live::ADMITTED_TOTAL, MetricUnit::Count, &[]),
-            shed_queue: reg.counter(live::SHED_TOTAL, MetricUnit::Count, &[("reason", "queue")]),
-            shed_breaker: reg.counter(
-                live::SHED_TOTAL,
-                MetricUnit::Count,
-                &[("reason", "breaker")],
-            ),
-            rejected_draining: reg.counter(live::REJECTED_DRAINING_TOTAL, MetricUnit::Count, &[]),
-            deduped: reg.counter(live::DEDUPED_TOTAL, MetricUnit::Count, &[]),
-            bad_lines: reg.counter(live::BAD_LINES_TOTAL, MetricUnit::Count, &[]),
-            long_lines: reg.counter(live::LONG_LINES_TOTAL, MetricUnit::Count, &[]),
-            idle_disconnects: reg.counter(live::IDLE_DISCONNECTS_TOTAL, MetricUnit::Count, &[]),
-            connections: reg.counter(live::CONNECTIONS_TOTAL, MetricUnit::Count, &[]),
-            queue_depth: reg.gauge(live::QUEUE_DEPTH, MetricUnit::Count, &[]),
-            retry_after_ms: reg.gauge(live::RETRY_AFTER_MS, MetricUnit::Millis, &[]),
-            queue_wait_ms: reg.histogram(live::QUEUE_WAIT_MS, MetricUnit::Millis, &[]),
-            deadline_headroom_ms: reg.histogram(
-                live::DEADLINE_HEADROOM_MS,
-                MetricUnit::Millis,
-                &[],
-            ),
-            batches_total: reg.counter(live::BATCHES_TOTAL, MetricUnit::Count, &[]),
-            batch_size: reg.histogram(live::BATCH_SIZE, MetricUnit::Count, &[]),
-            batch_occupancy_pct: reg.gauge(live::BATCH_OCCUPANCY_PCT, MetricUnit::Count, &[]),
-            linger_wait_ms: reg.histogram(live::LINGER_WAIT_MS, MetricUnit::Millis, &[]),
-            breaker_state: reg.gauge(live::BREAKER_STATE, MetricUnit::State, &[]),
-            breaker_transitions: reg.counter(
-                live::BREAKER_TRANSITIONS_TOTAL,
-                MetricUnit::Count,
-                &[],
-            ),
-            breaker_trips: reg.counter(live::BREAKER_TRIPS_TOTAL, MetricUnit::Count, &[]),
-            breaker_transitions_seen: AtomicU64::new(0),
-            breaker_trips_seen: AtomicU64::new(0),
-            flight_dumps_total: reg.counter(live::FLIGHT_DUMPS_TOTAL, MetricUnit::Count, &[]),
-            journal_appends: reg.counter(live::JOURNAL_APPENDS_TOTAL, MetricUnit::Count, &[]),
-            journal_fsyncs: reg.counter(live::JOURNAL_FSYNCS_TOTAL, MetricUnit::Count, &[]),
-            journal_bytes: reg.counter(live::JOURNAL_BYTES_TOTAL, MetricUnit::Bytes, &[]),
-            replayed_requests: reg.counter(live::REPLAYED_REQUESTS_TOTAL, MetricUnit::Count, &[]),
-            recovery_ms: reg.gauge(live::RECOVERY_MS, MetricUnit::Millis, &[]),
-            journal_appends_seen: AtomicU64::new(0),
-            journal_fsyncs_seen: AtomicU64::new(0),
-            journal_bytes_seen: AtomicU64::new(0),
+            admitted: mirror(live::ADMITTED_TOTAL),
+            shed_queue: shed("queue"),
+            shed_breaker: shed("breaker"),
+            rejected_draining: count(live::REJECTED_DRAINING_TOTAL),
+            deduped: count(live::DEDUPED_TOTAL),
+            bad_lines: count(live::BAD_LINES_TOTAL),
+            long_lines: count(live::LONG_LINES_TOTAL),
+            idle_disconnects: count(live::IDLE_DISCONNECTS_TOTAL),
+            connections: count(live::CONNECTIONS_TOTAL),
+            dropped_connections: count(live::DROPPED_CONNECTIONS_TOTAL),
+            undelivered: count(live::UNDELIVERED_TOTAL),
+            replayed: count(live::REPLAYED_TOTAL),
+            chaos_ignored: count(live::CHAOS_IGNORED_TOTAL),
+            queue_depth: gauge(live::QUEUE_DEPTH, Count),
+            retry_after_ms: gauge(live::RETRY_AFTER_MS, Millis),
+            queue_wait_ms: millis(live::QUEUE_WAIT_MS),
+            deadline_headroom_ms: millis(live::DEADLINE_HEADROOM_MS),
+            batches_total: count(live::BATCHES_TOTAL),
+            batch_size: reg.histogram(live::BATCH_SIZE, Count, &[]),
+            max_batch_size: gauge(live::MAX_BATCH_SIZE, Count),
+            batch_occupancy_pct: gauge(live::BATCH_OCCUPANCY_PCT, Count),
+            linger_wait_ms: millis(live::LINGER_WAIT_MS),
+            breaker_state: gauge(live::BREAKER_STATE, State),
+            breaker_transitions: mirror(live::BREAKER_TRANSITIONS_TOTAL),
+            breaker_trips: mirror(live::BREAKER_TRIPS_TOTAL),
+            flight_dumps_total: count(live::FLIGHT_DUMPS_TOTAL),
+            journal_appends: mirror(live::JOURNAL_APPENDS_TOTAL),
+            journal_fsyncs: mirror(live::JOURNAL_FSYNCS_TOTAL),
+            journal_bytes: Mirror::new(reg.counter(live::JOURNAL_BYTES_TOTAL, Bytes, &[])),
+            replayed_requests: count(live::REPLAYED_REQUESTS_TOTAL),
+            recovery_ms: gauge(live::RECOVERY_MS, Millis),
             workers: worker_handles,
-            cluster_expand_us: reg.counter(live::CLUSTER_EXPAND_US_TOTAL, MetricUnit::Micros, &[]),
-            cluster_exchange_us: reg.counter(
-                live::CLUSTER_EXCHANGE_US_TOTAL,
-                MetricUnit::Micros,
-                &[],
-            ),
+            cluster_expand_us: micros(live::CLUSTER_EXPAND_US_TOTAL),
+            cluster_exchange_us: micros(live::CLUSTER_EXCHANGE_US_TOTAL),
             ranks: Mutex::new(Vec::new()),
             registry: reg,
-        }
-    }
-
-    /// Fold the breaker's current state + totals into the live series.
-    /// Deltas are guarded by `fetch_max`, so racing scrapes add each
-    /// transition exactly once.
-    pub(crate) fn sync_breaker(&self, state_code: u8, transitions: u64, trips: u64) {
-        self.breaker_state.set(f64::from(state_code));
-        let prev = self
-            .breaker_transitions_seen
-            .fetch_max(transitions, Ordering::Relaxed);
-        if transitions > prev {
-            self.breaker_transitions.add(transitions - prev);
-        }
-        let prev = self.breaker_trips_seen.fetch_max(trips, Ordering::Relaxed);
-        if trips > prev {
-            self.breaker_trips.add(trips - prev);
-        }
-    }
-
-    /// Fold the journal's current totals into the live series (same
-    /// scrape-time delta discipline as [`Self::sync_breaker`]).
-    pub(crate) fn sync_journal(&self, appends: u64, fsyncs: u64, bytes: u64) {
-        let prev = self
-            .journal_appends_seen
-            .fetch_max(appends, Ordering::Relaxed);
-        if appends > prev {
-            self.journal_appends.add(appends - prev);
-        }
-        let prev = self
-            .journal_fsyncs_seen
-            .fetch_max(fsyncs, Ordering::Relaxed);
-        if fsyncs > prev {
-            self.journal_fsyncs.add(fsyncs - prev);
-        }
-        let prev = self.journal_bytes_seen.fetch_max(bytes, Ordering::Relaxed);
-        if bytes > prev {
-            self.journal_bytes.add(bytes - prev);
         }
     }
 
@@ -328,7 +272,6 @@ impl ServerMetrics {
     /// (already pushed onto the ledger) unless the dump cap was hit or
     /// the write failed — dumps are forensics, never a failure source.
     pub(crate) fn dump_flight(&self, reason: &str) -> Option<String> {
-        self.dump_requests.fetch_add(1, Ordering::Relaxed);
         {
             let dumps = self.dumps.lock().unwrap_or_else(|e| e.into_inner());
             if dumps.len() >= MAX_FLIGHT_DUMPS {
@@ -378,6 +321,31 @@ impl ServerMetrics {
     /// `Shared::metrics_snapshot`).
     pub(crate) fn snapshot(&self) -> MetricsSnapshot {
         self.registry.snapshot()
+    }
+}
+
+/// A registry counter mirroring a total another component owns (the
+/// queue, the breaker, the journal), so the fact is counted once, by its
+/// owner, and folded into the registry at scrape time.
+pub(crate) struct Mirror {
+    counter: Arc<Counter>,
+    /// The owner's total already folded in.
+    seen: AtomicU64,
+}
+
+impl Mirror {
+    fn new(counter: Arc<Counter>) -> Self {
+        let seen = AtomicU64::new(0);
+        Self { counter, seen }
+    }
+
+    /// Add whatever the owner's `total` has grown past the last sync; the
+    /// `fetch_max` guard makes racing scrapes add each increment once.
+    pub(crate) fn sync(&self, total: u64) {
+        let prev = self.seen.fetch_max(total, Ordering::Relaxed);
+        if total > prev {
+            self.counter.add(total - prev);
+        }
     }
 }
 
@@ -488,9 +456,14 @@ mod tests {
     #[test]
     fn journal_sync_folds_deltas_once() {
         let m = ServerMetrics::new(1, tmpdir("journal"), 16);
-        m.sync_journal(10, 2, 640);
-        m.sync_journal(10, 2, 640); // racing scrape: no double-add
-        m.sync_journal(15, 3, 1000);
+        let sync = |appends, fsyncs, bytes| {
+            m.journal_appends.sync(appends);
+            m.journal_fsyncs.sync(fsyncs);
+            m.journal_bytes.sync(bytes);
+        };
+        sync(10, 2, 640);
+        sync(10, 2, 640); // racing scrape: no double-add
+        sync(15, 3, 1000);
         let snap = m.snapshot();
         assert_eq!(
             snap.find(live::JOURNAL_APPENDS_TOTAL, &[]).unwrap().value,

@@ -44,7 +44,7 @@ pub enum Admission {
     Draining,
 }
 
-/// Counters the queue maintains under its own lock.
+/// Totals the queue maintains under its own lock.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct QueueStats {
     /// Requests admitted (tickets issued).

@@ -1,39 +1,51 @@
 //! The serving daemon: TCP listener, connection handlers, worker pool,
 //! and the graceful-drain choreography.
 //!
-//! Thread layout: one accept thread, one handler thread per connection,
-//! `workers` engine threads consuming the admission queue. A handler
-//! never runs BFS itself — it parses requests, applies breaker/admission
-//! policy, and forwards accepted jobs with a per-connection response
-//! channel; completions are written back in finish order, matched by id.
+//! Thread layout: one accept thread; per connection, a reader thread and
+//! a writer thread; `workers` engine threads consuming the admission
+//! queue. The reader never runs BFS itself — it parses requests, applies
+//! breaker/admission policy, and forwards accepted jobs carrying a clone
+//! of the connection's one response channel. Inline replies (`ping`,
+//! `info`, `stats`, `metrics`, shed, dedup, bad or overlong lines) go
+//! down the same channel. The writer blocks on that channel, buffers each
+//! response as one write and flushes whenever the channel is momentarily
+//! empty, so a completion reaches the socket the moment its worker sends
+//! it; completions arrive in finish order, matched by id. The writer
+//! exits once the reader and every in-flight job have dropped their
+//! senders — that is, once nothing is owed. The reader's blocking read
+//! carries a timeout only for the idle-disconnect policy; nothing polls.
 //!
 //! Drain: `initiate_drain` (or the wire `shutdown` op) flips the
 //! draining flag, moves the queue to `Draining` (reject new, keep
-//! serving queued), and pokes the accept loop awake with a
-//! self-connection. Handlers close once their in-flight requests are
-//! answered; workers exit when the queue runs dry; `join` then merges
-//! everything into one [`ServeReport`]. Every accepted request is
-//! answered before the process exits — the report's `drain_clean` says
-//! so explicitly.
+//! serving queued), shuts down the read half of every live connection
+//! so blocked readers wake up, and pokes the accept loop awake with a
+//! self-connection. Each connection closes once its writer has
+//! delivered everything owed; workers exit when the queue runs dry;
+//! `join` then builds one [`ServeReport`] from a snapshot of the live
+//! registry. Every accepted request is answered before the process
+//! exits — the report's `drain_clean` says so explicitly.
 
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::collections::HashMap;
+use std::io::{BufRead, BufReader, BufWriter, Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use gcd_sim::Device;
 use xbfs_graph::Csr;
 use xbfs_multi_gcd::RankHealth;
-use xbfs_telemetry::{names, AttrValue, Recorder};
+use xbfs_telemetry::json::escape;
+use xbfs_telemetry::names::live;
+use xbfs_telemetry::{names, AttrValue, MetricsSnapshot, Recorder, SeriesValue};
 
 use crate::breaker::CircuitBreaker;
 use crate::dedup::DedupCache;
 use crate::journal::{FsyncPolicy, Journal};
 use crate::metrics::ServerMetrics;
-use crate::protocol::{self, Request};
+use crate::protocol::{self, Request, PROTOCOL};
 use crate::queue::{Admission, AdmissionQueue};
 use crate::worker::{worker_loop, Job};
 
@@ -133,31 +145,6 @@ impl Default for ServeConfig {
     }
 }
 
-/// Lock-free serving counters (relaxed; merged once at drain).
-#[derive(Debug, Default)]
-pub(crate) struct Counters {
-    pub(crate) ok: AtomicU64,
-    pub(crate) timeouts: AtomicU64,
-    pub(crate) errors: AtomicU64,
-    pub(crate) replayed: AtomicU64,
-    pub(crate) panics_recovered: AtomicU64,
-    pub(crate) rebuilds: AtomicU64,
-    pub(crate) chaos_ignored: AtomicU64,
-    pub(crate) undelivered: AtomicU64,
-    pub(crate) breaker_trips_seen: AtomicU64,
-    pub(crate) connections: AtomicU64,
-    pub(crate) dropped_connections: AtomicU64,
-    pub(crate) bad_lines: AtomicU64,
-    pub(crate) deduped: AtomicU64,
-    pub(crate) batches: AtomicU64,
-    pub(crate) batched_requests: AtomicU64,
-    pub(crate) max_batch: AtomicU64,
-    pub(crate) replayed_requests: AtomicU64,
-    pub(crate) recovery_us: AtomicU64,
-    pub(crate) long_lines: AtomicU64,
-    pub(crate) idle_disconnects: AtomicU64,
-}
-
 /// Everything handlers and workers share.
 pub(crate) struct Shared {
     pub(crate) cfg: ServeConfig,
@@ -166,18 +153,20 @@ pub(crate) struct Shared {
     pub(crate) graph: Arc<Csr>,
     pub(crate) xcfg: xbfs_core::XbfsConfig,
     pub(crate) factory: DeviceFactory,
-    pub(crate) stats: Counters,
     pub(crate) rec: Arc<Recorder>,
     pub(crate) draining: AtomicBool,
     pub(crate) dedup: DedupCache,
-    /// Per-rank health merged from every worker's cluster engine (empty
-    /// for single-device servers). Indexed by rank of the initial
-    /// partitioning; Degrade leaves dead ranks' entries frozen.
-    pub(crate) rank_health: std::sync::Mutex<Vec<RankHealth>>,
-    /// The always-on live metrics plane + flight recorder.
+    /// The always-on live metrics plane + flight recorder: the one place
+    /// every serving fact is counted.
     pub(crate) metrics: ServerMetrics,
     /// The write-ahead request journal (`None` = durability off).
     pub(crate) journal: Option<Journal>,
+    /// Read halves of live connections, keyed by connection number, so a
+    /// drain can wake blocked readers. Each handler removes its own entry.
+    conns: Mutex<HashMap<u64, TcpStream>>,
+    /// Connection handler threads not yet joined; finished ones are
+    /// reaped as new connections arrive.
+    handlers: Mutex<Vec<JoinHandle<()>>>,
     started: Instant,
     addr: SocketAddr,
     /// Where the scrape listener is bound, for the drain wake-up poke.
@@ -207,6 +196,11 @@ impl Shared {
             "graceful drain initiated",
         );
         self.queue.drain();
+        // Readers block in read(); shutting the read half makes it return
+        // EOF. A handler registering concurrently checks the flag itself.
+        for conn in lock(&self.conns).values() {
+            let _ = conn.shutdown(Shutdown::Read);
+        }
         // The accept loops block in accept(); a throwaway connection is
         // the std-only way to make them re-check the flag.
         let _ = TcpStream::connect_timeout(&self.addr, Duration::from_millis(200));
@@ -215,34 +209,23 @@ impl Shared {
         }
     }
 
-    /// Fold one cluster run's per-rank health into the server-wide view.
-    pub(crate) fn merge_rank_health(&self, health: &[RankHealth]) {
-        self.metrics.merge_rank_health(health);
-        let mut acc = self.rank_health.lock().unwrap();
-        if acc.len() < health.len() {
-            acc.resize(health.len(), RankHealth::default());
-        }
-        for (a, h) in acc.iter_mut().zip(health) {
-            a.crashes += h.crashes;
-            a.checkpoints_restored += h.checkpoints_restored;
-            a.retransmitted_bytes += h.retransmitted_bytes;
-        }
-    }
-
-    /// One consistent scrape: refresh the sampled gauges (breaker state,
-    /// queue depth — both read from their owners, not shadow-tracked),
-    /// then freeze the registry. Runs entirely on the scraping thread;
-    /// workers are never stopped or signaled.
-    pub(crate) fn metrics_snapshot(&self) -> xbfs_telemetry::MetricsSnapshot {
-        let m = &self.metrics;
-        m.sync_breaker(
-            self.breaker.state_code(),
-            self.breaker.transitions(),
-            self.breaker.trips(),
-        );
+    /// One consistent scrape: fold in the totals and states the queue,
+    /// breaker and journal own (never shadow-tracked), then freeze the
+    /// registry. Runs entirely on the scraping thread; workers are never
+    /// stopped or signaled.
+    pub(crate) fn metrics_snapshot(&self) -> MetricsSnapshot {
+        let (m, q, b) = (&self.metrics, self.queue.stats(), &self.breaker);
         m.queue_depth.set(self.queue.depth() as f64);
+        m.breaker_state.set(f64::from(b.state_code()));
+        m.admitted.sync(q.accepted);
+        m.shed_queue.sync(q.shed);
+        m.shed_breaker.sync(b.fast_rejects());
+        m.breaker_transitions.sync(b.transitions());
+        m.breaker_trips.sync(b.trips());
         if let Some(j) = &self.journal {
-            m.sync_journal(j.appends(), j.fsyncs(), j.bytes_written());
+            m.journal_appends.sync(j.appends());
+            m.journal_fsyncs.sync(j.fsyncs());
+            m.journal_bytes.sync(j.bytes_written());
         }
         m.snapshot()
     }
@@ -274,6 +257,50 @@ impl Shared {
             );
         }
     }
+}
+
+/// Lock a mutex, riding through poisoning: every guarded value here
+/// stays consistent even if a holder panicked.
+fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// A counter's value in a frozen snapshot (0 if never registered).
+fn counter(snap: &MetricsSnapshot, name: &str, labels: &[(&str, &str)]) -> u64 {
+    match snap.find(name, labels).map(|s| &s.value) {
+        Some(SeriesValue::Counter(v)) => *v,
+        _ => 0,
+    }
+}
+
+/// A gauge's value in a frozen snapshot (0.0 if never registered).
+fn gauge(snap: &MetricsSnapshot, name: &str) -> f64 {
+    match snap.find(name, &[]).map(|s| &s.value) {
+        Some(SeriesValue::Gauge(v)) => *v,
+        _ => 0.0,
+    }
+}
+
+/// Finished requests by terminal status: ok, timeout, error.
+fn finished(snap: &MetricsSnapshot) -> [u64; 3] {
+    ["ok", "timeout", "error"].map(|s| counter(snap, live::REQUESTS_TOTAL, &[("status", s)]))
+}
+
+/// Per-rank health from the rank series, in rank order (empty for
+/// single-device servers; ranks appear with the first cluster run).
+fn rank_health(snap: &MetricsSnapshot) -> Vec<RankHealth> {
+    (0..)
+        .map_while(|r: usize| {
+            let r = r.to_string();
+            let l: &[(&str, &str)] = &[("rank", r.as_str())];
+            snap.find(live::RANK_CRASHES_TOTAL, l)?;
+            Some(RankHealth {
+                crashes: counter(snap, live::RANK_CRASHES_TOTAL, l),
+                checkpoints_restored: counter(snap, live::RANK_RESTORES_TOTAL, l),
+                retransmitted_bytes: counter(snap, live::RANK_RETRANSMITTED_BYTES_TOTAL, l),
+            })
+        })
+        .collect()
 }
 
 /// Pull the `"digest":"0x…"` value out of a response line without a full
@@ -365,67 +392,52 @@ pub struct ServeReport {
 impl ServeReport {
     /// `xbfs-serve-report-v1` JSON object (single line).
     pub fn to_json(&self) -> String {
-        let mut s = format!(
-            "{{\"format\":\"xbfs-serve-report-v1\",\"accepted\":{},\"shed\":{},\
-             \"rejected_draining\":{},\"ok\":{},\"timeouts\":{},\"errors\":{},\
-             \"replayed\":{},\"panics_recovered\":{},\"rebuilds\":{},\
-             \"chaos_ignored\":{},\"breaker_trips\":{},\"breaker_fast_rejects\":{},\
-             \"connections\":{},\"dropped_connections\":{},\"bad_lines\":{},\
-             \"max_queue_depth\":{},\"deduped\":{},\"batches\":{},\
-             \"batched_requests\":{},\"max_batch_size\":{},\"batch_width\":{},\
-             \"journal_appends\":{},\"journal_fsyncs\":{},\"journal_bytes\":{},\
-             \"replayed_requests\":{},\"recovery_ms\":{},\
-             \"long_lines\":{},\"idle_disconnects\":{},\
-             \"cluster\":{},\"rank_health\":[",
-            self.accepted,
-            self.shed,
-            self.rejected_draining,
-            self.ok,
-            self.timeouts,
-            self.errors,
-            self.replayed,
-            self.panics_recovered,
-            self.rebuilds,
-            self.chaos_ignored,
-            self.breaker_trips,
-            self.breaker_fast_rejects,
-            self.connections,
-            self.dropped_connections,
-            self.bad_lines,
-            self.max_queue_depth,
-            self.deduped,
-            self.batches,
-            self.batched_requests,
-            self.max_batch_size,
-            self.batch_width,
-            self.journal_appends,
-            self.journal_fsyncs,
-            self.journal_bytes,
-            self.replayed_requests,
-            self.recovery_ms,
-            self.long_lines,
-            self.idle_disconnects,
-            self.cluster,
-        );
-        for (rank, h) in self.rank_health.iter().enumerate() {
-            if rank > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!(
-                "{{\"rank\":{rank},\"crashes\":{},\"checkpoints_restored\":{},\
-                 \"retransmitted_bytes\":{}}}",
-                h.crashes, h.checkpoints_restored, h.retransmitted_bytes
-            ));
-        }
-        s.push_str("],\"flight_dumps\":[");
-        for (i, path) in self.flight_dumps.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&xbfs_telemetry::json::escape(path));
-        }
-        s.push_str(&format!("],\"drain_clean\":{}}}", self.drain_clean));
-        s
+        let ranks: Vec<String> = (self.rank_health.iter().enumerate())
+            .map(|(rank, h)| {
+                format!(
+                    "{{\"rank\":{rank},\"crashes\":{},\"checkpoints_restored\":{},\
+                     \"retransmitted_bytes\":{}}}",
+                    h.crashes, h.checkpoints_restored, h.retransmitted_bytes
+                )
+            })
+            .collect();
+        let dumps: Vec<String> = self.flight_dumps.iter().map(|p| escape(p)).collect();
+        let fields: [(&str, &dyn std::fmt::Display); 32] = [
+            ("accepted", &self.accepted),
+            ("shed", &self.shed),
+            ("rejected_draining", &self.rejected_draining),
+            ("ok", &self.ok),
+            ("timeouts", &self.timeouts),
+            ("errors", &self.errors),
+            ("replayed", &self.replayed),
+            ("panics_recovered", &self.panics_recovered),
+            ("rebuilds", &self.rebuilds),
+            ("chaos_ignored", &self.chaos_ignored),
+            ("breaker_trips", &self.breaker_trips),
+            ("breaker_fast_rejects", &self.breaker_fast_rejects),
+            ("connections", &self.connections),
+            ("dropped_connections", &self.dropped_connections),
+            ("bad_lines", &self.bad_lines),
+            ("max_queue_depth", &self.max_queue_depth),
+            ("deduped", &self.deduped),
+            ("batches", &self.batches),
+            ("batched_requests", &self.batched_requests),
+            ("max_batch_size", &self.max_batch_size),
+            ("batch_width", &self.batch_width),
+            ("journal_appends", &self.journal_appends),
+            ("journal_fsyncs", &self.journal_fsyncs),
+            ("journal_bytes", &self.journal_bytes),
+            ("replayed_requests", &self.replayed_requests),
+            ("recovery_ms", &self.recovery_ms),
+            ("long_lines", &self.long_lines),
+            ("idle_disconnects", &self.idle_disconnects),
+            ("cluster", &self.cluster),
+            ("rank_health", &format!("[{}]", ranks.join(","))),
+            ("flight_dumps", &format!("[{}]", dumps.join(","))),
+            ("drain_clean", &self.drain_clean),
+        ];
+        let body: Vec<String> = fields.iter().map(|(k, v)| format!("\"{k}\":{v}")).collect();
+        format!("{{\"format\":\"xbfs-serve-report-v1\",{}}}", body.join(","))
     }
 }
 
@@ -437,7 +449,6 @@ pub struct Server;
 /// Running-server handle: address, drain trigger, and the join that
 /// yields the merged report.
 pub struct ServerHandle {
-    addr: SocketAddr,
     shared: Arc<Shared>,
     accept: JoinHandle<()>,
     workers: Vec<JoinHandle<()>>,
@@ -445,7 +456,8 @@ pub struct ServerHandle {
 }
 
 impl Server {
-    /// Bind, spawn workers + accept loop, and return immediately.
+    /// Bind, spawn workers + accept loop, and return immediately. Zero
+    /// workers or a zero-length queue is an `InvalidInput` error.
     pub fn start(
         cfg: ServeConfig,
         graph: Arc<Csr>,
@@ -453,6 +465,14 @@ impl Server {
         factory: DeviceFactory,
         rec: Arc<Recorder>,
     ) -> std::io::Result<ServerHandle> {
+        for (name, n) in [("workers", cfg.workers), ("queue_cap", cfg.queue_cap)] {
+            if n == 0 {
+                return Err(std::io::Error::new(
+                    std::io::ErrorKind::InvalidInput,
+                    format!("{name} must be at least 1"),
+                ));
+            }
+        }
         let listener = TcpListener::bind(&cfg.addr)?;
         let addr = listener.local_addr()?;
         // Bind the scrape listener up front so its address lands in
@@ -473,7 +493,7 @@ impl Server {
             .unwrap_or_else(|| {
                 std::env::temp_dir().join(format!("xbfs-flight-{}", std::process::id()))
             });
-        let metrics = ServerMetrics::new(cfg.workers.max(1), flight_dir, cfg.flight_ring);
+        let metrics = ServerMetrics::new(cfg.workers, flight_dir, cfg.flight_ring);
         // Open + replay the journal before anything serves: completions
         // warm the dedup cache and incomplete admits are re-enqueued
         // below, strictly ahead of new traffic (the listener is bound but
@@ -494,20 +514,20 @@ impl Server {
             graph,
             xcfg,
             factory,
-            stats: Counters::default(),
             rec,
             draining: AtomicBool::new(false),
             dedup: DedupCache::new(cfg.dedup_cap),
-            rank_health: std::sync::Mutex::new(Vec::new()),
             metrics,
             journal,
+            conns: Mutex::new(HashMap::new()),
+            handlers: Mutex::new(Vec::new()),
             started: Instant::now(),
             addr,
             metrics_addr,
             cfg,
         });
 
-        let workers: Vec<JoinHandle<()>> = (0..shared.cfg.workers.max(1))
+        let workers: Vec<JoinHandle<()>> = (0..shared.cfg.workers)
             .map(|i| {
                 let sh = Arc::clone(&shared);
                 std::thread::Builder::new()
@@ -536,7 +556,6 @@ impl Server {
         });
 
         Ok(ServerHandle {
-            addr,
             shared,
             accept,
             workers,
@@ -567,6 +586,7 @@ fn recover(shared: &Arc<Shared>, replay: crate::journal::ReplayedJournal, starte
         let _ = std::thread::Builder::new()
             .name("xbfs-recovery".into())
             .spawn(move || while rx.recv().is_ok() {});
+        let tx = Arc::new(tx);
         for req in replay.incomplete {
             // Recovery is the only submitter and workers only drain, so
             // a depth check below the bound guarantees admission.
@@ -578,23 +598,18 @@ fn recover(shared: &Arc<Shared>, replay: crate::journal::ReplayedJournal, starte
                 let job = Job {
                     req: req.clone(),
                     enqueued: Instant::now(),
-                    resp: tx.clone(),
+                    resp: Arc::clone(&tx),
                 };
                 match shared.queue.submit(job) {
-                    Admission::Accepted { .. } => {
-                        shared.metrics.admitted.add(1);
-                        break;
-                    }
+                    Admission::Accepted { .. } => break,
                     Admission::Shed { .. } => std::thread::sleep(Duration::from_millis(1)),
                     Admission::Draining => return,
                 }
             }
         }
     }
-    shared.stats.replayed_requests.store(n, Ordering::Relaxed);
     shared.metrics.replayed_requests.add(n);
     let us = started.elapsed().as_micros() as u64;
-    shared.stats.recovery_us.store(us, Ordering::Relaxed);
     shared.metrics.recovery_ms.set(us as f64 / 1000.0);
     shared.metrics.flight.note(
         shared.metrics.flight.control_lane(),
@@ -611,7 +626,7 @@ fn recover(shared: &Arc<Shared>, replay: crate::journal::ReplayedJournal, starte
 impl ServerHandle {
     /// The bound address (useful with `127.0.0.1:0`).
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.shared.addr
     }
 
     /// Where the scrape listener is bound, when `metrics_addr` was set.
@@ -630,11 +645,14 @@ impl ServerHandle {
         self.shared.begin_drain();
     }
 
-    /// Block until the drain completes and merge the final report.
-    /// Joining without a drain in progress waits for a wire `shutdown`.
+    /// Block until the drain completes and build the final report from
+    /// one registry snapshot plus the totals the queue, breaker and
+    /// journal own. Joining without a drain in progress waits for a wire
+    /// `shutdown`.
     pub fn join(self) -> ServeReport {
         // Accept loop exits once draining; it joins all handlers first,
-        // and handlers only exit with zero in-flight requests.
+        // and a handler exits only after its writer delivered everything
+        // the connection was owed.
         let _ = self.accept.join();
         // Queue is in Draining; workers exit when it runs dry.
         for w in self.workers {
@@ -644,17 +662,23 @@ impl ServerHandle {
         if let Some(m) = self.metrics_thread {
             let _ = m.join();
         }
+        let shared = &self.shared;
         // Anything still queued now is a bug — close() surfaces it.
-        let abandoned = self.shared.queue.close();
+        let abandoned = shared.queue.close();
         // Final fsync: a drained journal is fully on stable storage no
         // matter the policy.
-        if let Some(j) = &self.shared.journal {
+        if let Some(j) = &shared.journal {
             let _ = j.sync();
         }
-        let q = self.shared.queue.stats();
-        let s = &self.shared.stats;
-        let ld = |c: &AtomicU64| c.load(Ordering::Relaxed);
-        let (journal_appends, journal_fsyncs, journal_bytes) = match &self.shared.journal {
+        let snap = shared.metrics_snapshot();
+        let q = shared.queue.stats();
+        let c = |name: &str| counter(&snap, name, &[]);
+        let [ok, timeouts, errors] = finished(&snap);
+        let batched_requests = match snap.find(live::BATCH_SIZE, &[]).map(|s| &s.value) {
+            Some(SeriesValue::Histogram(h)) => h.sum().round() as u64,
+            _ => 0,
+        };
+        let (journal_appends, journal_fsyncs, journal_bytes) = match &shared.journal {
             Some(j) => (j.appends(), j.fsyncs(), j.bytes_written()),
             None => (0, 0, 0),
         };
@@ -662,38 +686,38 @@ impl ServerHandle {
             accepted: q.accepted,
             shed: q.shed,
             rejected_draining: q.rejected_draining,
-            ok: ld(&s.ok),
-            timeouts: ld(&s.timeouts),
-            errors: ld(&s.errors),
-            replayed: ld(&s.replayed),
-            panics_recovered: ld(&s.panics_recovered),
-            rebuilds: ld(&s.rebuilds),
-            chaos_ignored: ld(&s.chaos_ignored),
-            breaker_trips: self.shared.breaker.trips(),
-            breaker_fast_rejects: self.shared.breaker.fast_rejects(),
-            connections: ld(&s.connections),
-            dropped_connections: ld(&s.dropped_connections),
-            bad_lines: ld(&s.bad_lines),
+            ok,
+            timeouts,
+            errors,
+            replayed: c(live::REPLAYED_TOTAL),
+            panics_recovered: snap.counter_family_total(live::WORKER_PANICS_TOTAL),
+            rebuilds: snap.counter_family_total(live::WORKER_REBUILDS_TOTAL),
+            chaos_ignored: c(live::CHAOS_IGNORED_TOTAL),
+            breaker_trips: shared.breaker.trips(),
+            breaker_fast_rejects: shared.breaker.fast_rejects(),
+            connections: c(live::CONNECTIONS_TOTAL),
+            dropped_connections: c(live::DROPPED_CONNECTIONS_TOTAL),
+            bad_lines: c(live::BAD_LINES_TOTAL),
             max_queue_depth: q.max_depth,
-            deduped: ld(&s.deduped),
-            batches: ld(&s.batches),
-            batched_requests: ld(&s.batched_requests),
-            max_batch_size: ld(&s.max_batch),
-            batch_width: self.shared.cfg.batch_width.max(1),
+            deduped: c(live::DEDUPED_TOTAL),
+            batches: c(live::BATCHES_TOTAL),
+            batched_requests,
+            max_batch_size: gauge(&snap, live::MAX_BATCH_SIZE) as u64,
+            batch_width: shared.cfg.batch_width.max(1),
             journal_appends,
             journal_fsyncs,
             journal_bytes,
-            replayed_requests: ld(&s.replayed_requests),
-            recovery_ms: ld(&s.recovery_us) as f64 / 1000.0,
-            long_lines: ld(&s.long_lines),
-            idle_disconnects: ld(&s.idle_disconnects),
-            flight_dumps: self.shared.metrics.dump_paths(),
-            cluster: self.shared.cfg.cluster.unwrap_or(0),
-            rank_health: self.shared.rank_health.lock().unwrap().clone(),
+            replayed_requests: c(live::REPLAYED_REQUESTS_TOTAL),
+            recovery_ms: gauge(&snap, live::RECOVERY_MS),
+            long_lines: c(live::LONG_LINES_TOTAL),
+            idle_disconnects: c(live::IDLE_DISCONNECTS_TOTAL),
+            flight_dumps: shared.metrics.dump_paths(),
+            cluster: shared.cfg.cluster.unwrap_or(0),
+            rank_health: rank_health(&snap),
             drain_clean: abandoned.is_empty()
-                && ld(&s.undelivered) == 0
-                && ld(&s.dropped_connections) == 0
-                && q.accepted == ld(&s.ok) + ld(&s.timeouts) + ld(&s.errors),
+                && c(live::UNDELIVERED_TOTAL) == 0
+                && c(live::DROPPED_CONNECTIONS_TOTAL) == 0
+                && q.accepted == ok + timeouts + errors,
         }
     }
 }
@@ -718,9 +742,15 @@ fn metrics_loop(shared: Arc<Shared>, listener: TcpListener) {
 fn serve_scrape(shared: &Shared, stream: TcpStream) -> std::io::Result<()> {
     stream.set_read_timeout(Some(Duration::from_millis(500)))?;
     let mut writer = stream.try_clone()?;
-    let mut reader = BufReader::new(stream);
+    // Bound the request head and consume it whole: closing with unread
+    // bytes makes the kernel reset the connection under the response.
+    let mut head = BufReader::new(stream).take(MAX_REQUEST_LINE as u64);
     let mut line = String::new();
-    reader.read_line(&mut line)?;
+    head.read_line(&mut line)?;
+    let mut header = String::new();
+    while head.read_line(&mut header)? > 2 {
+        header.clear();
+    }
     let path = line.split_whitespace().nth(1).unwrap_or("");
     let (status, ctype, body) = if path == "/metrics.json" {
         (
@@ -746,28 +776,36 @@ fn serve_scrape(shared: &Shared, stream: TcpStream) -> std::io::Result<()> {
 }
 
 fn accept_loop(shared: Arc<Shared>, listener: TcpListener) {
-    let mut handlers: Vec<JoinHandle<()>> = Vec::new();
-    for conn in listener.incoming() {
+    for (conn, stream) in (0u64..).zip(listener.incoming()) {
         if shared.is_draining() {
             break; // the wake-up connection (or a late client) is dropped
         }
-        match conn {
-            Ok(stream) => {
-                shared.stats.connections.fetch_add(1, Ordering::Relaxed);
-                shared.metrics.connections.add(1);
-                let sh = Arc::clone(&shared);
-                if let Ok(h) = std::thread::Builder::new()
-                    .name("xbfs-conn".into())
-                    .spawn(move || handle_conn(sh, stream))
-                {
-                    handlers.push(h);
-                }
-            }
-            Err(_) => continue,
+        let Ok(stream) = stream else { continue };
+        shared.metrics.connections.add(1);
+        let sh = Arc::clone(&shared);
+        let spawned = std::thread::Builder::new()
+            .name("xbfs-conn".into())
+            .spawn(move || handle_conn(sh, stream, conn));
+        let mut handlers = lock(&shared.handlers);
+        reap_finished(&mut handlers);
+        if let Ok(h) = spawned {
+            handlers.push(h);
         }
     }
     drop(listener);
+    let handlers = std::mem::take(&mut *lock(&shared.handlers));
     for h in handlers {
+        let _ = h.join();
+    }
+}
+
+/// Join every handler that has already finished; keep the live ones.
+fn reap_finished(handlers: &mut Vec<JoinHandle<()>>) {
+    let (done, live): (Vec<_>, Vec<_>) = std::mem::take(handlers)
+        .into_iter()
+        .partition(|h| h.is_finished());
+    *handlers = live;
+    for h in done {
         let _ = h.join();
     }
 }
@@ -778,187 +816,167 @@ fn accept_loop(shared: Arc<Shared>, listener: TcpListener) {
 /// unbounded allocation.
 pub const MAX_REQUEST_LINE: usize = 64 * 1024;
 
-/// Serve one connection until EOF (or until drain completes with no
-/// in-flight requests). All socket writes happen on this thread;
-/// completions arrive over the per-connection channel.
-fn handle_conn(shared: Arc<Shared>, stream: TcpStream) {
-    // A finite read timeout lets the handler poll the response channel
-    // and the draining flag while the client is idle.
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(50)));
-    let Ok(mut writer) = stream.try_clone() else {
-        shared
-            .stats
-            .dropped_connections
-            .fetch_add(1, Ordering::Relaxed);
+/// Serve one connection: this thread reads and dispatches requests, a
+/// writer thread owns every socket write. Returns once the reader is done
+/// and the writer has delivered everything the connection was owed.
+fn handle_conn(shared: Arc<Shared>, stream: TcpStream, conn: u64) {
+    let idle_ms = shared.cfg.idle_timeout_ms;
+    let _ = stream.set_read_timeout((idle_ms > 0).then(|| Duration::from_millis(idle_ms)));
+    let _ = stream.set_nodelay(true);
+    let (tx, rx) = mpsc::channel::<String>();
+    let writer = stream.try_clone().and_then(|out| {
+        std::thread::Builder::new()
+            .name("xbfs-conn-writer".into())
+            .spawn(move || write_responses(out, rx))
+    });
+    let (Ok(writer), Ok(wake)) = (writer, stream.try_clone()) else {
+        shared.metrics.dropped_connections.add(1);
         return;
     };
-    let mut reader = BufReader::new(stream);
-    let (tx, rx) = mpsc::channel::<String>();
-    let mut pending: usize = 0;
-    let mut eof = false;
-    let mut lost = false; // a completed response could not be delivered
-    let mut line = String::new();
-    let idle_ms = shared.cfg.idle_timeout_ms;
-    let mut last_activity = Instant::now();
+    {
+        let mut conns = lock(&shared.conns);
+        // Checked under the registry lock: either the drain's sweep sees
+        // this entry, or this check sees the drain.
+        if shared.is_draining() {
+            let _ = wake.shutdown(Shutdown::Read);
+        }
+        conns.insert(conn, wake);
+    }
+    let tx = Arc::new(tx);
+    read_requests(&shared, stream, &tx);
+    lock(&shared.conns).remove(&conn);
+    drop(tx);
+    if !matches!(writer.join(), Ok(Ok(()))) {
+        // A response could not be written: whatever else this connection
+        // was owed is undeliverable too.
+        shared.metrics.dropped_connections.add(1);
+    }
+}
 
-    'serve: loop {
-        // 1. Flush any completed responses.
-        while let Ok(resp) = rx.try_recv() {
-            pending -= 1;
-            if writeln!(writer, "{resp}").is_err() {
-                lost = true;
-                break 'serve;
+/// Read and dispatch request lines until EOF (a drain shuts the read
+/// half down to force one), a read error, an overlong line, or a whole
+/// idle budget of silence with nothing owed. `tx` is the connection's
+/// response sender; every in-flight job holds a clone, so a strong count
+/// of one means nothing is owed.
+fn read_requests(shared: &Arc<Shared>, stream: TcpStream, tx: &Arc<mpsc::Sender<String>>) {
+    let mut reader = BufReader::new(stream);
+    let mut line = String::new();
+    loop {
+        // The `take` bound keeps a newline-less firehose from growing
+        // `line` without limit — one byte past the cap proves the line is
+        // overlong.
+        let cap = (MAX_REQUEST_LINE + 1 - line.len()) as u64;
+        match (&mut reader).take(cap).read_line(&mut line) {
+            Ok(_) if line.ends_with('\n') => {
+                let req = std::mem::take(&mut line);
+                dispatch_line(shared, tx, req.trim());
             }
-        }
-        // 2. Exit once everything owed here is answered and either the
-        //    client closed or the server is draining.
-        if (eof || shared.is_draining()) && pending == 0 {
-            break;
-        }
-        // 3. Read the next request line (timeout keeps us responsive;
-        //    the `take` bound keeps a newline-less firehose from growing
-        //    `line` without limit — one byte past the cap proves the
-        //    line is overlong).
-        if !eof {
-            let before = line.len();
-            let cap = (MAX_REQUEST_LINE + 1 - before) as u64;
-            match (&mut reader).take(cap).read_line(&mut line) {
-                Ok(_) if line.ends_with('\n') => {
-                    last_activity = Instant::now();
-                    let req = std::mem::take(&mut line);
-                    dispatch_line(&shared, &tx, &mut writer, &mut pending, req.trim());
-                }
-                // Checked before the EOF arm: a cap-exhausted read also
-                // returns `Ok(0)` and must shed, not close quietly.
-                Ok(_) if line.len() > MAX_REQUEST_LINE => {
-                    // Overlong: answer typed and close — the line framing
-                    // is unrecoverable past the cap.
-                    shared.stats.long_lines.fetch_add(1, Ordering::Relaxed);
-                    shared.metrics.long_lines.add(1);
-                    let _ = writeln!(
-                        writer,
-                        "{}",
-                        protocol::error_line(
-                            0,
-                            "overlong",
-                            &format!("request line exceeds {MAX_REQUEST_LINE} bytes"),
-                        )
-                    );
-                    line.clear();
-                    eof = true;
-                }
-                Ok(_) => eof = true, // EOF (0) or partial line at EOF
-                Err(e)
-                    if e.kind() == std::io::ErrorKind::WouldBlock
-                        || e.kind() == std::io::ErrorKind::TimedOut =>
-                {
-                    if line.len() > before {
-                        last_activity = Instant::now(); // partial bytes arrived
-                    } else if idle_ms > 0
-                        && pending == 0
-                        && line.is_empty()
-                        && last_activity.elapsed() >= Duration::from_millis(idle_ms)
-                    {
-                        // Nothing owed, nothing in progress, nothing said
-                        // for the whole idle budget: stop pinning a thread.
-                        shared
-                            .stats
-                            .idle_disconnects
-                            .fetch_add(1, Ordering::Relaxed);
-                        shared.metrics.idle_disconnects.add(1);
-                        break 'serve;
-                    }
-                }
-                Err(_) => eof = true,
+            // Checked before the EOF arm: a cap-exhausted read also
+            // returns `Ok(0)` and must shed, not close quietly.
+            Ok(_) if line.len() > MAX_REQUEST_LINE => {
+                // Overlong: answer typed and stop reading — the line
+                // framing is unrecoverable past the cap.
+                shared.metrics.long_lines.add(1);
+                let _ = tx.send(protocol::error_line(
+                    0,
+                    "overlong",
+                    &format!("request line exceeds {MAX_REQUEST_LINE} bytes"),
+                ));
+                return;
             }
-        } else {
-            // EOF with responses still owed: wait on the channel.
-            match rx.recv_timeout(Duration::from_millis(50)) {
-                Ok(resp) => {
-                    pending -= 1;
-                    if writeln!(writer, "{resp}").is_err() {
-                        lost = true;
-                        break;
-                    }
+            Ok(_) => return, // EOF (0) or partial line at EOF
+            Err(e)
+                if e.kind() == std::io::ErrorKind::WouldBlock
+                    || e.kind() == std::io::ErrorKind::TimedOut =>
+            {
+                // The read timeout is the idle budget. Partial bytes or
+                // an owed response keep the connection open.
+                if line.is_empty() && Arc::strong_count(tx) == 1 {
+                    shared.metrics.idle_disconnects.add(1);
+                    return;
                 }
-                Err(mpsc::RecvTimeoutError::Timeout) => {}
-                Err(mpsc::RecvTimeoutError::Disconnected) => break,
             }
+            Err(_) => return,
         }
     }
-    if lost || pending > 0 {
-        // In-flight requests whose responses can no longer be delivered.
-        shared
-            .stats
-            .dropped_connections
-            .fetch_add(1, Ordering::Relaxed);
+}
+
+/// The connection's writer: block on the response channel, buffer each
+/// response as one write, and flush whenever the channel is momentarily
+/// empty. Returns `Ok` once every sender is gone with everything
+/// written; on a failed write it shuts the socket down (so the reader
+/// stops too) and returns the error.
+fn write_responses(stream: TcpStream, rx: mpsc::Receiver<String>) -> std::io::Result<()> {
+    let result = (|| {
+        let mut out = BufWriter::new(&stream);
+        while let Ok(mut line) = rx.recv() {
+            loop {
+                line.push('\n');
+                out.write_all(line.as_bytes())?;
+                match rx.try_recv() {
+                    Ok(next) => line = next,
+                    Err(_) => break,
+                }
+            }
+            out.flush()?;
+        }
+        Ok(())
+    })();
+    if result.is_err() {
+        let _ = stream.shutdown(Shutdown::Both);
     }
+    result
 }
 
 /// Parse + answer one request line; `bfs` goes through breaker and
 /// admission control, everything else is answered inline.
-fn dispatch_line(
-    shared: &Arc<Shared>,
-    tx: &mpsc::Sender<String>,
-    writer: &mut TcpStream,
-    pending: &mut usize,
-    raw: &str,
-) {
+fn dispatch_line(shared: &Arc<Shared>, tx: &Arc<mpsc::Sender<String>>, raw: &str) {
     if raw.is_empty() {
         return;
     }
-    let reply = |writer: &mut TcpStream, s: String| {
-        let _ = writeln!(writer, "{s}");
+    // A send fails only once the writer died on a broken socket, which
+    // already counted the connection as dropped.
+    let reply = |s: String| {
+        let _ = tx.send(s);
     };
     let req = match protocol::parse_request(raw) {
         Ok(r) => r,
         Err(e) => {
-            shared.stats.bad_lines.fetch_add(1, Ordering::Relaxed);
             shared.metrics.bad_lines.add(1);
-            reply(writer, protocol::error_line(0, "usage", &e));
+            reply(protocol::error_line(0, "usage", &e));
             return;
         }
     };
     match req {
-        Request::Ping { id } => reply(writer, protocol::pong_line(id)),
-        Request::Info { id } => reply(
-            writer,
-            protocol::info_line(
-                id,
-                shared.graph.num_vertices(),
-                shared.graph.num_edges(),
-                shared.cfg.workers,
-                shared.cfg.queue_cap,
-            ),
-        ),
+        Request::Ping { id } => reply(protocol::pong_line(id)),
+        Request::Info { id } => reply(protocol::info_line(
+            id,
+            shared.graph.num_vertices(),
+            shared.graph.num_edges(),
+            shared.cfg.workers,
+            shared.cfg.queue_cap,
+        )),
         Request::Stats { id } => {
-            let s = &shared.stats;
-            let q = shared.queue.stats();
-            let ld = |c: &AtomicU64| c.load(Ordering::Relaxed);
-            reply(
-                writer,
-                format!(
-                    "{{\"v\":\"{}\",\"id\":{id},\"status\":\"ok\",\"accepted\":{},\
-                     \"shed\":{},\"ok\":{},\"timeouts\":{},\"errors\":{},\"depth\":{},\
-                     \"breaker_open\":{}}}",
-                    protocol::PROTOCOL,
-                    q.accepted,
-                    q.shed,
-                    ld(&s.ok),
-                    ld(&s.timeouts),
-                    ld(&s.errors),
-                    shared.queue.depth(),
-                    shared.breaker.is_open()
-                ),
+            let [ok, timeouts, errors] = finished(&shared.metrics_snapshot());
+            let (q, depth, open) = (
+                shared.queue.stats(),
+                shared.queue.depth(),
+                shared.breaker.is_open(),
             );
+            reply(format!(
+                "{{\"v\":\"{PROTOCOL}\",\"id\":{id},\"status\":\"ok\",\"accepted\":{},\
+                 \"shed\":{},\"ok\":{ok},\"timeouts\":{timeouts},\"errors\":{errors},\
+                 \"depth\":{depth},\"breaker_open\":{open}}}",
+                q.accepted, q.shed
+            ));
         }
         Request::Shutdown { id } => {
-            reply(writer, protocol::shutdown_line(id));
+            reply(protocol::shutdown_line(id));
             shared.begin_drain();
         }
         Request::Metrics { id } => {
             let snap = shared.metrics_snapshot();
-            reply(writer, protocol::metrics_line(id, &snap.to_json()));
+            reply(protocol::metrics_line(id, &snap.to_json()));
         }
         Request::Bfs(bfs) => {
             let id = bfs.id;
@@ -968,7 +986,6 @@ fn dispatch_line(
             // the cache so soaks always exercise the real path.
             if bfs.chaos.is_none() {
                 if let Some(cached) = shared.dedup.lookup(id, bfs.source) {
-                    shared.stats.deduped.fetch_add(1, Ordering::Relaxed);
                     shared.metrics.deduped.add(1);
                     shared.rec.event(
                         None,
@@ -977,30 +994,26 @@ fn dispatch_line(
                         shared.now_us(),
                         vec![("id".into(), AttrValue::U64(id))],
                     );
-                    reply(writer, protocol::mark_deduped(&cached));
+                    reply(protocol::mark_deduped(&cached));
                     return;
                 }
             }
-            if shared.is_draining() {
+            let draining = || {
                 shared.metrics.rejected_draining.add(1);
-                reply(
-                    writer,
-                    protocol::overloaded_line(id, "draining", shared.cfg.retry_after_ms),
-                );
-                return;
+                let retry_ms = shared.cfg.retry_after_ms;
+                reply(protocol::overloaded_line(id, "draining", retry_ms));
+            };
+            if shared.is_draining() {
+                return draining();
             }
             if let Err(retry_ms) = shared.breaker.admit() {
-                shared.metrics.shed_breaker.add(1);
                 shared.metrics.retry_after_ms.set(retry_ms as f64);
                 shared.metrics.flight.note(
                     shared.metrics.flight.control_lane(),
                     "shed.breaker",
                     format!("id={id} retry_after_ms={retry_ms}"),
                 );
-                reply(
-                    writer,
-                    protocol::overloaded_line(id, "breaker-open", retry_ms),
-                );
+                reply(protocol::overloaded_line(id, "breaker-open", retry_ms));
                 return;
             }
             // The journal needs the request after `Job` takes ownership;
@@ -1009,11 +1022,10 @@ fn dispatch_line(
             let job = Job {
                 req: bfs,
                 enqueued: Instant::now(),
-                resp: tx.clone(),
+                resp: Arc::clone(tx),
             };
             match shared.queue.submit(job) {
                 Admission::Accepted { .. } => {
-                    *pending += 1;
                     if let (Some(j), Some(req)) = (&shared.journal, &journal_req) {
                         if j.append_admit(req).is_err() {
                             shared.metrics.flight.note(
@@ -1023,8 +1035,6 @@ fn dispatch_line(
                             );
                         }
                     }
-                    shared.metrics.admitted.add(1);
-                    shared.metrics.queue_depth.set(shared.queue.depth() as f64);
                     shared.rec.counter(
                         names::metric::QUEUE_DEPTH,
                         0,
@@ -1033,7 +1043,6 @@ fn dispatch_line(
                     );
                 }
                 Admission::Shed { retry_after_ms } => {
-                    shared.metrics.shed_queue.add(1);
                     shared.metrics.retry_after_ms.set(retry_after_ms as f64);
                     shared.metrics.flight.note(
                         shared.metrics.flight.control_lane(),
@@ -1047,19 +1056,64 @@ fn dispatch_line(
                         shared.now_us(),
                         vec![("id".into(), AttrValue::U64(id))],
                     );
-                    reply(
-                        writer,
-                        protocol::overloaded_line(id, "queue-full", retry_after_ms),
-                    );
+                    reply(protocol::overloaded_line(id, "queue-full", retry_after_ms));
                 }
-                Admission::Draining => {
-                    shared.metrics.rejected_draining.add(1);
-                    reply(
-                        writer,
-                        protocol::overloaded_line(id, "draining", shared.cfg.retry_after_ms),
-                    );
-                }
+                Admission::Draining => draining(),
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Poll (bounded) until the held handlers' `is_finished` flags match.
+    fn wait_for_held(handle: &ServerHandle, done: impl Fn(&[bool]) -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        loop {
+            let held: Vec<bool> = lock(&handle.shared.handlers)
+                .iter()
+                .map(JoinHandle::is_finished)
+                .collect();
+            if done(&held) {
+                return;
+            }
+            assert!(Instant::now() < deadline, "held handlers: {held:?}");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+    }
+
+    #[test]
+    fn finished_connection_handlers_are_reaped_as_new_ones_arrive() {
+        let graph = Arc::new(xbfs_graph::generators::erdos_renyi(64, 256, 1));
+        let factory = Arc::new(Device::mi250x);
+        let rec = Arc::new(Recorder::disabled());
+        let handle = Server::start(
+            ServeConfig::default(),
+            graph,
+            Default::default(),
+            factory,
+            rec,
+        )
+        .unwrap();
+        for _ in 0..100 {
+            let mut s = TcpStream::connect(handle.addr()).unwrap();
+            s.write_all(b"{\"op\":\"ping\",\"id\":1}\n").unwrap();
+            BufReader::new(&s).read_line(&mut String::new()).unwrap();
+        }
+        wait_for_held(&handle, |held| held.iter().all(|&finished| finished));
+        // The next connection makes the accept loop reap every finished
+        // handler. Held afterwards: the live one, plus at most the last
+        // closed one if its exit raced that accept.
+        let live = TcpStream::connect(handle.addr()).unwrap();
+        wait_for_held(&handle, |held| {
+            held.len() <= 2 && held.iter().filter(|&&finished| !finished).count() == 1
+        });
+        drop(live);
+        handle.initiate_drain();
+        let report = handle.join();
+        assert_eq!(report.connections, 101);
+        assert!(report.drain_clean, "{report:?}");
     }
 }

@@ -20,7 +20,7 @@
 //! restored from the latest level-synchronous checkpoint *within the
 //! request's remaining deadline budget* — recovery overhead counts
 //! against it. Per-rank health (crashes, restores, retransmitted bytes)
-//! is drained after every run into the server-wide accumulator, so a
+//! is drained after every run into the per-rank registry series, so a
 //! quarantined cluster loses no history.
 //!
 //! Deadline accounting: the request's wall budget is charged for queue
@@ -28,7 +28,6 @@
 //! budget (see DESIGN.md §10 for why the two clocks are fungible).
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::Ordering;
 use std::sync::{mpsc, Arc};
 use std::time::Instant;
 
@@ -45,11 +44,12 @@ use crate::server::Shared;
 
 /// One admitted request in flight: the parsed request, when it was
 /// admitted, and the channel that delivers the response line back to the
-/// connection that owns it.
+/// connection that owns it. The connection counts the clones of that
+/// sender to know whether it still owes a response.
 pub(crate) struct Job {
     pub(crate) req: BfsRequest,
     pub(crate) enqueued: Instant,
-    pub(crate) resp: mpsc::Sender<String>,
+    pub(crate) resp: Arc<mpsc::Sender<String>>,
 }
 
 /// Engine generation, discarded and rebuilt as a unit on quarantine.
@@ -89,15 +89,6 @@ fn build_engine<'g>(shared: &Shared, graph: &'g Csr) -> Result<Engine<'g>, Strin
 fn discard(engine: &mut Option<Engine<'_>>) {
     if let Some(e) = engine.take() {
         let _ = catch_unwind(AssertUnwindSafe(move || drop(e)));
-    }
-}
-
-/// Deliver a response line; a dead connection with an answered-but-lost
-/// request is the one "dropped" case the smoke test asserts never
-/// happens under clean shutdown.
-fn deliver(shared: &Shared, job_resp: &mpsc::Sender<String>, line: String) {
-    if job_resp.send(line).is_err() {
-        shared.stats.undelivered.fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -161,11 +152,6 @@ fn serve_one<'g>(
     );
     rec.end_span(span, shared.now_us());
 
-    let total_ms = job.enqueued.elapsed().as_secs_f64() * 1000.0;
-    m.finish_request(worker_idx, outcome.status, total_ms);
-    if let Some(d) = job.req.deadline_ms.or(shared.cfg.default_deadline_ms) {
-        m.deadline_headroom_ms.record((d - total_ms).max(0.0));
-    }
     // The device's pool totals only move while this worker runs, so
     // sampling once per request keeps the series current without
     // touching the hot path inside the run.
@@ -174,30 +160,63 @@ fn serve_one<'g>(
         worker_idx,
         "request.finish",
         format!(
-            "id={id} status={} attempts={} total_ms={total_ms:.1}",
-            outcome.status, outcome.attempts
+            "id={id} status={} attempts={} total_ms={:.1}",
+            outcome.status,
+            outcome.attempts,
+            job.enqueued.elapsed().as_secs_f64() * 1000.0
         ),
     );
     if let Some(w) = m.workers.get(worker_idx) {
         w.state.set(WORKER_IDLE);
     }
+    let had_chaos = job.req.chaos.is_some();
+    finish(shared, worker_idx, &job, had_chaos, outcome);
+}
+
+/// Epilogue of every terminal outcome: latency + headroom series,
+/// idempotency cache, completion record, and delivery.
+fn finish(shared: &Shared, worker: usize, job: &Job, had_chaos: bool, outcome: Outcome) {
+    let Outcome { line, status, .. } = outcome;
+    let total_ms = job.enqueued.elapsed().as_secs_f64() * 1000.0;
+    shared.metrics.finish_request(worker, status, total_ms);
+    if let Some(d) = job.req.deadline_ms.or(shared.cfg.default_deadline_ms) {
+        shared
+            .metrics
+            .deadline_headroom_ms
+            .record((d - total_ms).max(0.0));
+    }
     // Completed requests become idempotent: a replay of this id is
     // answered from cache instead of re-executing. Chaos-carrying
     // requests are never cached (soaks must exercise the real path).
-    let cacheable = outcome.status == "ok" && job.req.chaos.is_none();
+    let (id, source) = (job.req.id, job.req.source);
+    let cacheable = status == "ok" && !had_chaos;
     if cacheable {
-        shared.dedup.record(id, job.req.source, &outcome.line);
+        shared.dedup.record(id, source, &line);
     }
     // The completion record lands before delivery: a crash after this
     // point replays the id from the warm cache, not by re-execution.
-    shared.journal_done(id, job.req.source, outcome.status, &outcome.line, cacheable);
-    deliver(shared, &job.resp, outcome.line);
+    shared.journal_done(id, source, status, &line, cacheable);
+    // A connection that died holding an answer is the one "dropped" case
+    // the smoke test asserts never happens under clean shutdown.
+    if job.resp.send(line).is_err() {
+        shared.metrics.undelivered.add(1);
+    }
 }
 
 struct Outcome {
     line: String,
     status: &'static str,
     attempts: u32,
+}
+
+impl Outcome {
+    fn new(status: &'static str, attempts: u32, line: String) -> Self {
+        Self {
+            line,
+            status,
+            attempts,
+        }
+    }
 }
 
 /// What one engine attempt decided.
@@ -213,13 +232,70 @@ enum Step {
 struct Attempt<'a> {
     shared: &'a Shared,
     job: &'a Job,
+    grant: &'a Grant,
     act: ChaosAction,
-    verify: bool,
     ticket: u64,
-    run_budget_ms: Option<f64>,
     wait_ms: f64,
     attempt: u32,
     worker: usize,
+}
+
+/// What a request is granted by the checks it passes before an engine
+/// sees it: the run's modeled-time budget, the chaos it may inject, and
+/// whether to certify.
+struct Grant {
+    run_budget_ms: Option<f64>,
+    chaos: ChaosAction,
+    verify: bool,
+}
+
+/// The checks shared by the solo and batch paths, or the typed refusal.
+fn grant(shared: &Shared, req: &BfsRequest, wait_ms: f64) -> Result<Grant, Outcome> {
+    let usage = |why: &str| Outcome::new("error", 0, protocol::error_line(req.id, "usage", why));
+    // Wall budget: queue wait spends it first. What is left is granted
+    // to the run as a modeled-time budget (see DESIGN.md §10 for why the
+    // two clocks are fungible here).
+    let run_budget_ms = match req.deadline_ms.or(shared.cfg.default_deadline_ms) {
+        Some(d) if wait_ms >= d => {
+            let line = protocol::timeout_line(req.id, "queue", wait_ms, d);
+            return Err(Outcome::new("timeout", 0, line));
+        }
+        Some(d) => Some(d - wait_ms),
+        None => None,
+    };
+    // Chaos is honored only when the server opted in; a production
+    // server counts and ignores stamped chaos instead of executing it.
+    let chaos = match &req.chaos {
+        Some(tok) if shared.cfg.allow_chaos => {
+            ChaosAction::from_token(tok).map_err(|e| usage(&e))?
+        }
+        Some(_) => {
+            shared.metrics.chaos_ignored.add(1);
+            ChaosAction::None
+        }
+        None => ChaosAction::None,
+    };
+    // Backend-specific injections: rank crashes need a partitioned
+    // cluster to kill a rank of; bitflips target the single-device pool.
+    let mismatch = match (chaos, shared.cfg.cluster) {
+        (ChaosAction::Crash { .. }, None) => Some("crash chaos requires a --cluster server"),
+        (ChaosAction::Bitflip, Some(_)) => Some("bitflip chaos requires a single-device server"),
+        (ChaosAction::Bitflip, None) if shared.cfg.batch_width > 1 => {
+            Some("bitflip chaos requires a batch-width 1 server")
+        }
+        _ => None,
+    };
+    if let Some(why) = mismatch {
+        return Err(usage(why));
+    }
+    // Undetected bit flips would silently corrupt the response; chaos
+    // flips therefore imply certification so they are caught + replayed.
+    let verify = req.verify.unwrap_or(shared.cfg.verify) || chaos == ChaosAction::Bitflip;
+    Ok(Grant {
+        run_budget_ms,
+        chaos,
+        verify,
+    })
 }
 
 /// Serve one request through the attempt/quarantine loop. `prior_attempts`
@@ -238,67 +314,11 @@ fn execute<'g>(
     prior_attempts: u32,
 ) -> Outcome {
     let id = job.req.id;
-    let stats = &shared.stats;
-
-    // Wall budget: queue wait spends it first. What is left is granted
-    // to the run as a modeled-time budget (see DESIGN.md §10 for why the
-    // two clocks are fungible here).
-    let deadline_ms = job.req.deadline_ms.or(shared.cfg.default_deadline_ms);
-    let run_budget_ms = match deadline_ms {
-        Some(d) if wait_ms >= d => {
-            stats.timeouts.fetch_add(1, Ordering::Relaxed);
-            return Outcome {
-                line: protocol::timeout_line(id, "queue", wait_ms, d),
-                status: "timeout",
-                attempts: 0,
-            };
-        }
-        Some(d) => Some(d - wait_ms),
-        None => None,
+    let grant = match grant(shared, &job.req, wait_ms) {
+        Ok(g) => g,
+        Err(refused) => return refused,
     };
-
-    // Chaos is honored only when the server opted in; a production
-    // server counts and ignores stamped chaos instead of executing it.
-    let chaos = match &job.req.chaos {
-        Some(tok) if shared.cfg.allow_chaos => match ChaosAction::from_token(tok) {
-            Ok(a) => a,
-            Err(e) => {
-                stats.errors.fetch_add(1, Ordering::Relaxed);
-                return Outcome {
-                    line: protocol::error_line(id, "usage", &e),
-                    status: "error",
-                    attempts: 0,
-                };
-            }
-        },
-        Some(_) => {
-            stats.chaos_ignored.fetch_add(1, Ordering::Relaxed);
-            ChaosAction::None
-        }
-        None => ChaosAction::None,
-    };
-    // Backend-specific injections: rank crashes need a partitioned
-    // cluster to kill a rank of; bitflips target the single-device pool.
-    let mismatch = match (chaos, shared.cfg.cluster) {
-        (ChaosAction::Crash { .. }, None) => Some("crash chaos requires a --cluster server"),
-        (ChaosAction::Bitflip, Some(_)) => Some("bitflip chaos requires a single-device server"),
-        (ChaosAction::Bitflip, None) if shared.cfg.batch_width > 1 => {
-            Some("bitflip chaos requires a batch-width 1 server")
-        }
-        _ => None,
-    };
-    if let Some(why) = mismatch {
-        stats.errors.fetch_add(1, Ordering::Relaxed);
-        return Outcome {
-            line: protocol::error_line(id, "usage", why),
-            status: "error",
-            attempts: 0,
-        };
-    }
-    // Undetected bit flips would silently corrupt the response; chaos
-    // flips therefore imply certification so they are caught + replayed.
-    let verify = job.req.verify.unwrap_or(shared.cfg.verify) || chaos == ChaosAction::Bitflip;
-    let flip_plan = (chaos == ChaosAction::Bitflip)
+    let flip_plan = (grant.chaos == ChaosAction::Bitflip)
         .then(|| BitflipPlan::parse("status:1").expect("static chaos bitflip spec parses"));
 
     // A pre-charged attempt never eats the whole budget: a replayed
@@ -310,13 +330,9 @@ fn execute<'g>(
             match build_engine(shared, graph) {
                 Ok(e) => *engine = Some(e),
                 Err(err) => {
-                    stats.errors.fetch_add(1, Ordering::Relaxed);
                     shared.breaker.record_failure();
-                    return Outcome {
-                        line: protocol::error_line(id, "engine", &err),
-                        status: "error",
-                        attempts: attempt + 1,
-                    };
+                    let line = protocol::error_line(id, "engine", &err);
+                    return Outcome::new("error", attempt + 1, line);
                 }
             }
         }
@@ -324,7 +340,7 @@ fn execute<'g>(
         // Injection targets attempt 0 only, so a replay after quarantine
         // runs clean and reproduces the fault-free result bit for bit.
         let act = if attempt == 0 {
-            chaos
+            grant.chaos
         } else {
             ChaosAction::None
         };
@@ -334,10 +350,9 @@ fn execute<'g>(
         let ctx = Attempt {
             shared,
             job,
+            grant: &grant,
             act,
-            verify,
             ticket,
-            run_budget_ms,
             wait_ms,
             attempt,
             worker,
@@ -350,8 +365,7 @@ fn execute<'g>(
                 // Drain per-rank health every attempt — before any
                 // quarantine discards the engine — so crashes, restores
                 // and retransmits survive into the serve report.
-                let health = cluster.take_health();
-                shared.merge_rank_health(&health);
+                shared.metrics.merge_rank_health(&cluster.take_health());
                 step
             }
         };
@@ -369,71 +383,34 @@ fn execute<'g>(
 }
 
 impl Attempt<'_> {
+    /// Fire an injected panic on this attempt (runs inside
+    /// `catch_unwind`).
+    fn chaos_panic(&self) {
+        if self.act == ChaosAction::Panic {
+            panic!("chaos: injected worker panic (ticket {})", self.ticket);
+        }
+    }
+
     /// One attempt on the warm pooled single-device engine.
     fn run_single(&self, eng: &Xbfs<Device>, flip_plan: Option<&BitflipPlan>) -> Step {
-        let shared = self.shared;
-        let stats = &shared.stats;
-        let id = self.job.req.id;
-        let ticket = self.ticket;
         let result = catch_unwind(AssertUnwindSafe(|| {
-            if self.act == ChaosAction::Panic {
-                panic!("chaos: injected worker panic (ticket {ticket})");
-            }
+            self.chaos_panic();
+            let salt = self.ticket;
             let sab = (self.act == ChaosAction::Bitflip)
-                .then(|| flip_plan.map(|plan| Sabotage { plan, salt: ticket }))
+                .then(|| flip_plan.map(|plan| Sabotage { plan, salt }))
                 .flatten();
-            eng.run_governed(
+            let (run, cert) = eng.run_governed(
                 self.job.req.source,
                 &xbfs_telemetry::Recorder::disabled(),
                 sab.as_ref(),
-                self.run_budget_ms,
-                self.verify,
-            )
+                self.grant.run_budget_ms,
+                self.grant.verify,
+            )?;
+            let (id, attempts, certified) = (self.job.req.id, self.attempt + 1, cert.is_some());
+            let line = protocol::ok_line(id, &run, certified, self.wait_ms, attempts);
+            Ok(line)
         }));
-
-        match result {
-            Ok(Ok((run, cert))) => {
-                shared.breaker.record_success();
-                stats.ok.fetch_add(1, Ordering::Relaxed);
-                if self.attempt > 0 {
-                    stats.replayed.fetch_add(1, Ordering::Relaxed);
-                }
-                Step::Finish(Outcome {
-                    line: protocol::ok_line(
-                        id,
-                        &run,
-                        cert.is_some(),
-                        self.wait_ms,
-                        self.attempt + 1,
-                    ),
-                    status: "ok",
-                    attempts: self.attempt + 1,
-                })
-            }
-            Ok(Err(XbfsError::DeadlineExceeded {
-                elapsed_us,
-                deadline_us,
-                ..
-            })) => Step::Finish(self.timeout(elapsed_us, deadline_us)),
-            Ok(Err(XbfsError::Integrity(e))) => Step::Retry {
-                kind: "integrity",
-                msg: e.to_string(),
-            },
-            Ok(Err(other)) => {
-                // Client-input errors (bad source, …): typed, no retry,
-                // and no breaker penalty — the substrate is fine.
-                stats.errors.fetch_add(1, Ordering::Relaxed);
-                Step::Finish(Outcome {
-                    line: protocol::error_line(id, "invalid", &other.to_string()),
-                    status: "error",
-                    attempts: self.attempt + 1,
-                })
-            }
-            Err(payload) => Step::Retry {
-                kind: "panic",
-                msg: self.note_panic(payload.as_ref()),
-            },
-        }
+        self.settle(result)
     }
 
     /// One attempt on the bit-parallel multi-source engine, run 1-wide:
@@ -442,38 +419,22 @@ impl Attempt<'_> {
     /// carry the slot's levels-only digest, so every `ok` a batch-width
     /// server emits — coalesced or solo — is digest-comparable.
     fn run_batch_solo(&self, eng: &MsBfs<Device>) -> Step {
-        let shared = self.shared;
-        let stats = &shared.stats;
-        let id = self.job.req.id;
-        let ticket = self.ticket;
         let result = catch_unwind(AssertUnwindSafe(|| {
-            if self.act == ChaosAction::Panic {
-                panic!("chaos: injected worker panic (ticket {ticket})");
-            }
-            eng.run_governed(&[self.job.req.source], self.run_budget_ms, self.verify)
+            self.chaos_panic();
+            let (source, g) = ([self.job.req.source], self.grant);
+            let (run, certs) = eng.run_governed(&source, g.run_budget_ms, g.verify)?;
+            let (id, attempts, certified) = (self.job.req.id, self.attempt + 1, certs.is_some());
+            let line = protocol::batched_ok_line(id, &run, 0, certified, self.wait_ms, attempts, 1);
+            Ok(line)
         }));
+        self.settle(result)
+    }
 
+    /// Map a single-device attempt (its `ok` line, or why not) to the
+    /// next step.
+    fn settle(&self, result: std::thread::Result<Result<String, XbfsError>>) -> Step {
         match result {
-            Ok(Ok((run, certs))) => {
-                shared.breaker.record_success();
-                stats.ok.fetch_add(1, Ordering::Relaxed);
-                if self.attempt > 0 {
-                    stats.replayed.fetch_add(1, Ordering::Relaxed);
-                }
-                Step::Finish(Outcome {
-                    line: protocol::batched_ok_line(
-                        id,
-                        &run,
-                        0,
-                        certs.is_some(),
-                        self.wait_ms,
-                        self.attempt + 1,
-                        1,
-                    ),
-                    status: "ok",
-                    attempts: self.attempt + 1,
-                })
-            }
+            Ok(Ok(line)) => Step::Finish(self.ok(line)),
             Ok(Err(XbfsError::DeadlineExceeded {
                 elapsed_us,
                 deadline_us,
@@ -483,14 +444,9 @@ impl Attempt<'_> {
                 kind: "integrity",
                 msg: e.to_string(),
             },
-            Ok(Err(other)) => {
-                stats.errors.fetch_add(1, Ordering::Relaxed);
-                Step::Finish(Outcome {
-                    line: protocol::error_line(id, "invalid", &other.to_string()),
-                    status: "error",
-                    attempts: self.attempt + 1,
-                })
-            }
+            // Client-input errors (bad source, …): typed, no retry, and
+            // no breaker penalty — the substrate is fine.
+            Ok(Err(other)) => Step::Finish(self.error("invalid", &other.to_string())),
             Err(payload) => Step::Retry {
                 kind: "panic",
                 msg: self.note_panic(payload.as_ref()),
@@ -498,13 +454,27 @@ impl Attempt<'_> {
         }
     }
 
+    /// A successful attempt heals the breaker; success after a
+    /// quarantine counts as a replay.
+    fn ok(&self, line: String) -> Outcome {
+        self.shared.breaker.record_success();
+        if self.attempt > 0 {
+            self.shared.metrics.replayed.add(1);
+        }
+        Outcome::new("ok", self.attempt + 1, line)
+    }
+
+    /// A typed terminal error for this attempt.
+    fn error(&self, kind: &str, msg: &str) -> Outcome {
+        let line = protocol::error_line(self.job.req.id, kind, msg);
+        Outcome::new("error", self.attempt + 1, line)
+    }
+
     /// One attempt on the partitioned cluster engine. A `Crash` action
     /// becomes a one-run [`FaultPlan`]; the engine recovers it from the
     /// latest checkpoint within the remaining deadline budget.
     fn run_cluster(&self, cluster: &mut GcdCluster<'_>, graph: &Csr) -> Step {
         let shared = self.shared;
-        let stats = &shared.stats;
-        let id = self.job.req.id;
         let ticket = self.ticket;
         let fault_cfg = match self.act {
             ChaosAction::Crash { level, rank } => {
@@ -514,14 +484,7 @@ impl Attempt<'_> {
                         checkpoint_every: shared.cfg.checkpoint_every,
                         ..FaultConfig::default()
                     },
-                    Err(e) => {
-                        stats.errors.fetch_add(1, Ordering::Relaxed);
-                        return Step::Finish(Outcome {
-                            line: protocol::error_line(id, "usage", &e.to_string()),
-                            status: "error",
-                            attempts: self.attempt + 1,
-                        });
-                    }
+                    Err(e) => return Step::Finish(self.error("usage", &e.to_string())),
                 }
             }
             _ => FaultConfig {
@@ -530,14 +493,12 @@ impl Attempt<'_> {
             },
         };
         let result = catch_unwind(AssertUnwindSafe(|| {
-            if self.act == ChaosAction::Panic {
-                panic!("chaos: injected worker panic (ticket {ticket})");
-            }
+            self.chaos_panic();
             cluster.run_governed(
                 self.job.req.source,
                 &fault_cfg,
                 &xbfs_telemetry::Recorder::disabled(),
-                self.run_budget_ms,
+                self.grant.run_budget_ms,
             )
         }));
 
@@ -548,7 +509,7 @@ impl Attempt<'_> {
                 // array against the graph. A failure is treated exactly
                 // like a single-device integrity fault: quarantine the
                 // engine and replay clean.
-                if self.verify {
+                if self.grant.verify {
                     if let Err(e) =
                         xbfs_graph::validate_bfs_levels(graph, self.job.req.source, &run.levels)
                     {
@@ -580,23 +541,14 @@ impl Attempt<'_> {
                         ],
                     );
                 }
-                shared.breaker.record_success();
-                stats.ok.fetch_add(1, Ordering::Relaxed);
-                if self.attempt > 0 {
-                    stats.replayed.fetch_add(1, Ordering::Relaxed);
-                }
-                Step::Finish(Outcome {
-                    line: protocol::cluster_ok_line(
-                        id,
-                        &run,
-                        self.verify,
-                        self.wait_ms,
-                        self.attempt + 1,
-                        recoveries,
-                    ),
-                    status: "ok",
-                    attempts: self.attempt + 1,
-                })
+                Step::Finish(self.ok(protocol::cluster_ok_line(
+                    self.job.req.id,
+                    &run,
+                    self.grant.verify,
+                    self.wait_ms,
+                    self.attempt + 1,
+                    recoveries,
+                )))
             }
             Ok(Err(ClusterError::DeadlineExceeded {
                 elapsed_us,
@@ -612,14 +564,7 @@ impl Attempt<'_> {
                     msg: e.to_string(),
                 }
             }
-            Ok(Err(other)) => {
-                stats.errors.fetch_add(1, Ordering::Relaxed);
-                Step::Finish(Outcome {
-                    line: protocol::error_line(id, "invalid", &other.to_string()),
-                    status: "error",
-                    attempts: self.attempt + 1,
-                })
-            }
+            Ok(Err(other)) => Step::Finish(self.error("invalid", &other.to_string())),
             Err(payload) => Step::Retry {
                 kind: "panic",
                 msg: self.note_panic(payload.as_ref()),
@@ -627,19 +572,12 @@ impl Attempt<'_> {
         }
     }
 
-    /// Typed mid-run timeout: counted, never a breaker penalty.
+    /// Typed mid-run timeout: never a breaker penalty.
     fn timeout(&self, elapsed_us: u64, deadline_us: u64) -> Outcome {
-        self.shared.stats.timeouts.fetch_add(1, Ordering::Relaxed);
-        Outcome {
-            line: protocol::timeout_line(
-                self.job.req.id,
-                "run",
-                self.wait_ms + elapsed_us as f64 / 1000.0,
-                self.wait_ms + deadline_us as f64 / 1000.0,
-            ),
-            status: "timeout",
-            attempts: self.attempt + 1,
-        }
+        let (elapsed_ms, deadline_ms) = (elapsed_us as f64 / 1000.0, deadline_us as f64 / 1000.0);
+        let (id, wait_ms) = (self.job.req.id, self.wait_ms);
+        let line = protocol::timeout_line(id, "run", wait_ms + elapsed_ms, wait_ms + deadline_ms);
+        Outcome::new("timeout", self.attempt + 1, line)
     }
 
     /// Count + record a contained panic, returning its message.
@@ -658,10 +596,6 @@ fn record_panic(
     payload: &(dyn std::any::Any + Send),
 ) -> String {
     let msg = panic_message(payload);
-    shared
-        .stats
-        .panics_recovered
-        .fetch_add(1, Ordering::Relaxed);
     if let Some(w) = shared.metrics.workers.get(worker) {
         w.panics.add(1);
     }
@@ -702,7 +636,6 @@ fn quarantine(
     if let Some(w) = m.workers.get(worker) {
         w.state.set(WORKER_RUNNING); // rebuilding + replaying next
     }
-    shared.stats.rebuilds.fetch_add(1, Ordering::Relaxed);
     shared.rec.event(
         None,
         names::event::QUARANTINED,
@@ -723,12 +656,7 @@ fn give_up(
     msg: &str,
     worker: usize,
 ) -> Outcome {
-    shared.stats.errors.fetch_add(1, Ordering::Relaxed);
     if shared.breaker.record_failure() {
-        shared
-            .stats
-            .breaker_trips_seen
-            .fetch_add(1, Ordering::Relaxed);
         shared.metrics.flight.note(
             worker,
             "breaker.trip",
@@ -743,15 +671,8 @@ fn give_up(
             vec![("kind".into(), AttrValue::Str(kind.into()))],
         );
     }
-    Outcome {
-        line: protocol::error_line(
-            id,
-            kind,
-            &format!("uncorrected after {attempts} attempts: {msg}"),
-        ),
-        status: "error",
-        attempts,
-    }
+    let why = format!("uncorrected after {attempts} attempts: {msg}");
+    Outcome::new("error", attempts, protocol::error_line(id, kind, &why))
 }
 
 /// Sample the single-device pool gauges of whichever warm engine this
@@ -771,10 +692,7 @@ struct Member {
     ticket: u64,
     job: Job,
     wait_ms: f64,
-    run_budget_ms: Option<f64>,
-    verify: bool,
-    panic_chaos: bool,
-    slow_ms: Option<u64>,
+    grant: Grant,
     had_chaos: bool,
     slot: usize,
 }
@@ -783,117 +701,42 @@ struct Member {
 /// always triaged (and answered) individually — a blown budget or a bad
 /// source never takes the batch down with it.
 fn triage(shared: &Shared, ticket: u64, job: Job, worker: usize) -> Option<Member> {
-    let id = job.req.id;
     let wait_ms = job.enqueued.elapsed().as_secs_f64() * 1000.0;
     shared.metrics.queue_wait_ms.record(wait_ms);
     shared
         .rec
         .counter(names::metric::WAIT_MS, worker, shared.now_us(), wait_ms);
-    let reject = |status: &'static str, line: String| {
-        if status == "timeout" {
-            shared.stats.timeouts.fetch_add(1, Ordering::Relaxed);
-        } else {
-            shared.stats.errors.fetch_add(1, Ordering::Relaxed);
-        }
-        shared.metrics.finish_request(worker, status, wait_ms);
-        // Triage rejections are terminal too — without a completion
-        // record a restart would re-enqueue (and re-reject) them forever.
-        shared.journal_done(id, job.req.source, status, &line, false);
-        deliver(shared, &job.resp, line);
-    };
-    // Queue wait spends the wall budget first, exactly like the solo path.
-    let deadline_ms = job.req.deadline_ms.or(shared.cfg.default_deadline_ms);
-    let run_budget_ms = match deadline_ms {
-        Some(d) if wait_ms >= d => {
-            reject("timeout", protocol::timeout_line(id, "queue", wait_ms, d));
-            return None;
-        }
-        Some(d) => Some(d - wait_ms),
-        None => None,
-    };
     // Validate the source up front: `run_governed` rejects a whole batch
     // for one bad member, and that member's error is not its neighbors'.
     let n = shared.graph.num_vertices();
-    if job.req.source as usize >= n {
+    let checked = grant(shared, &job.req, wait_ms).and_then(|grant| {
+        if (job.req.source as usize) < n {
+            return Ok(grant);
+        }
+        let source = job.req.source;
         let msg = XbfsError::SourceOutOfRange {
-            source: job.req.source,
+            source,
             num_vertices: n,
-        }
-        .to_string();
-        reject("error", protocol::error_line(id, "invalid", &msg));
-        return None;
-    }
-    let had_chaos = job.req.chaos.is_some();
-    let mut panic_chaos = false;
-    let mut slow_ms = None;
-    if let Some(tok) = &job.req.chaos {
-        if !shared.cfg.allow_chaos {
-            shared.stats.chaos_ignored.fetch_add(1, Ordering::Relaxed);
-        } else {
-            match ChaosAction::from_token(tok) {
-                Ok(ChaosAction::Panic) => panic_chaos = true,
-                Ok(ChaosAction::Slow(ms)) => slow_ms = Some(ms),
-                Ok(ChaosAction::None) => {}
-                Ok(ChaosAction::Bitflip) => {
-                    reject(
-                        "error",
-                        protocol::error_line(
-                            id,
-                            "usage",
-                            "bitflip chaos requires a batch-width 1 server",
-                        ),
-                    );
-                    return None;
-                }
-                Ok(ChaosAction::Crash { .. }) => {
-                    reject(
-                        "error",
-                        protocol::error_line(
-                            id,
-                            "usage",
-                            "crash chaos requires a --cluster server",
-                        ),
-                    );
-                    return None;
-                }
-                Err(e) => {
-                    reject("error", protocol::error_line(id, "usage", &e));
-                    return None;
-                }
-            }
+        };
+        let line = protocol::error_line(job.req.id, "invalid", &msg.to_string());
+        Err(Outcome::new("error", 0, line))
+    });
+    match checked {
+        Ok(grant) => Some(Member {
+            ticket,
+            had_chaos: job.req.chaos.is_some(),
+            job,
+            wait_ms,
+            grant,
+            slot: 0,
+        }),
+        // Triage rejections are terminal too — without a completion
+        // record a restart would re-enqueue (and re-reject) them forever.
+        Err(refused) => {
+            finish(shared, worker, &job, false, refused);
+            None
         }
     }
-    let verify = job.req.verify.unwrap_or(shared.cfg.verify);
-    Some(Member {
-        ticket,
-        job,
-        wait_ms,
-        run_budget_ms,
-        verify,
-        panic_chaos,
-        slow_ms,
-        had_chaos,
-        slot: 0,
-    })
-}
-
-/// Epilogue shared by every batch-member outcome: latency + headroom
-/// series, idempotency cache, and delivery.
-fn finish_member(shared: &Shared, worker: usize, mb: &Member, status: &str, line: String) {
-    let total_ms = mb.job.enqueued.elapsed().as_secs_f64() * 1000.0;
-    shared.metrics.finish_request(worker, status, total_ms);
-    if let Some(d) = mb.job.req.deadline_ms.or(shared.cfg.default_deadline_ms) {
-        shared
-            .metrics
-            .deadline_headroom_ms
-            .record((d - total_ms).max(0.0));
-    }
-    let cacheable = status == "ok" && !mb.had_chaos;
-    if cacheable {
-        shared.dedup.record(mb.job.req.id, mb.job.req.source, &line);
-    }
-    shared.journal_done(mb.job.req.id, mb.job.req.source, status, &line, cacheable);
-    deliver(shared, &mb.job.resp, line);
 }
 
 /// Re-run one batch member solo (1-wide) on the — possibly just
@@ -913,7 +756,7 @@ fn replay_member<'g>(
     let outcome = execute(
         shared, graph, engine, mb.ticket, &mb.job, wait_ms, worker, 1,
     );
-    finish_member(shared, worker, &mb, outcome.status, outcome.line);
+    finish(shared, worker, &mb.job, mb.had_chaos, outcome);
 }
 
 /// Serve one coalesced batch: triage members individually, dedup
@@ -933,17 +776,9 @@ fn serve_batch<'g>(
     let m = &shared.metrics;
     let width = shared.cfg.batch_width.clamp(1, MAX_CONCURRENT);
     let size = batch.len();
-    shared.stats.batches.fetch_add(1, Ordering::Relaxed);
-    shared
-        .stats
-        .batched_requests
-        .fetch_add(size as u64, Ordering::Relaxed);
-    shared
-        .stats
-        .max_batch
-        .fetch_max(size as u64, Ordering::Relaxed);
     m.batches_total.add(1);
     m.batch_size.record(size as f64);
+    m.max_batch_size.set_max(size as f64);
     m.batch_occupancy_pct
         .set(size as f64 * 100.0 / width as f64);
     if let Some((_, youngest)) = batch.last() {
@@ -987,13 +822,19 @@ fn serve_batch<'g>(
         // timed out by a stingy neighbor.
         let budget = members
             .iter()
-            .filter_map(|mb| mb.run_budget_ms)
+            .filter_map(|mb| mb.grant.run_budget_ms)
             .fold(None, |acc: Option<f64>, b| {
                 Some(acc.map_or(b, |a: f64| a.min(b)))
             });
-        let verify = members.iter().any(|mb| mb.verify);
-        let panic_injected = members.iter().any(|mb| mb.panic_chaos);
-        if let Some(ms) = members.iter().filter_map(|mb| mb.slow_ms).max() {
+        let verify = members.iter().any(|mb| mb.grant.verify);
+        let panic_injected = members
+            .iter()
+            .any(|mb| mb.grant.chaos == ChaosAction::Panic);
+        let slowest = members.iter().filter_map(|mb| match mb.grant.chaos {
+            ChaosAction::Slow(ms) => Some(ms),
+            _ => None,
+        });
+        if let Some(ms) = slowest.max() {
             std::thread::sleep(std::time::Duration::from_millis(ms));
         }
         if engine.is_none() {
@@ -1002,9 +843,9 @@ fn serve_batch<'g>(
                 Err(err) => {
                     shared.breaker.record_failure();
                     for mb in members {
-                        shared.stats.errors.fetch_add(1, Ordering::Relaxed);
                         let line = protocol::error_line(mb.job.req.id, "engine", &err);
-                        finish_member(shared, worker, &mb, "error", line);
+                        let failed = Outcome::new("error", 1, line);
+                        finish(shared, worker, &mb.job, mb.had_chaos, failed);
                     }
                     break 'run;
                 }
@@ -1021,13 +862,12 @@ fn serve_batch<'g>(
                 eng.run_governed(&sources, budget, verify)
             }))
         };
-        match result {
+        let quarantined = match result {
             Ok(Ok((run, certs))) => {
                 shared.breaker.record_success();
                 let served = members.len();
                 for mb in members {
-                    shared.stats.ok.fetch_add(1, Ordering::Relaxed);
-                    let certified = certs.is_some() && mb.verify;
+                    let certified = certs.is_some() && mb.grant.verify;
                     let line = protocol::batched_ok_line(
                         mb.job.req.id,
                         &run,
@@ -1037,45 +877,39 @@ fn serve_batch<'g>(
                         1,
                         served,
                     );
-                    finish_member(shared, worker, &mb, "ok", line);
+                    let done = Outcome::new("ok", 1, line);
+                    finish(shared, worker, &mb.job, mb.had_chaos, done);
                 }
+                break 'run;
             }
             Ok(Err(XbfsError::DeadlineExceeded { .. })) => {
                 // The tightest budget bound everyone; the engine is
                 // healthy. Split: re-run each member solo under its own
                 // budget, so nobody times out *because* of coalescing.
-                m.flight.note(
-                    worker,
-                    "batch.split",
-                    format!("size={} why=deadline", members.len()),
-                );
-                for mb in members {
-                    replay_member(shared, graph, engine, mb, worker);
-                }
+                let why = format!("size={} why=deadline", members.len());
+                m.flight.note(worker, "batch.split", why);
+                None
             }
             Ok(Err(XbfsError::Integrity(e))) => {
                 m.flight.note(worker, "batch.integrity", format!("{e}"));
-                quarantine(shared, engine, "integrity", first_ticket, worker);
-                for mb in members {
-                    replay_member(shared, graph, engine, mb, worker);
-                }
+                Some("integrity")
             }
+            // Sources were validated at triage, so no member input
+            // explains this; treat the engine as poisoned.
             Ok(Err(other)) => {
-                // Sources were validated at triage, so no member input
-                // explains this; treat the engine as poisoned.
                 m.flight.note(worker, "batch.error", format!("{other}"));
-                quarantine(shared, engine, "engine-error", first_ticket, worker);
-                for mb in members {
-                    replay_member(shared, graph, engine, mb, worker);
-                }
+                Some("engine-error")
             }
             Err(payload) => {
                 record_panic(shared, worker, first_ticket, payload.as_ref());
-                quarantine(shared, engine, "panic", first_ticket, worker);
-                for mb in members {
-                    replay_member(shared, graph, engine, mb, worker);
-                }
+                Some("panic")
             }
+        };
+        if let Some(why) = quarantined {
+            quarantine(shared, engine, why, first_ticket, worker);
+        }
+        for mb in members {
+            replay_member(shared, graph, engine, mb, worker);
         }
     }
     sample_engine_pool(shared, worker, engine);

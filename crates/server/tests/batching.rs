@@ -5,33 +5,19 @@
 //! answers, and a panic inside a batch quarantines the engine and
 //! replays every member individually.
 
-use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
-use std::sync::Arc;
-use std::time::Duration;
+mod common;
 
-use gcd_sim::Device;
+use std::collections::HashMap;
+use std::sync::Arc;
+
+use common::{drain_clean, reference_levels_digest, start, Client};
 use proptest::prelude::*;
-use xbfs_core::{Xbfs, XbfsConfig};
 use xbfs_graph::generators::erdos_renyi;
 use xbfs_graph::Csr;
-use xbfs_server::{protocol, ServeConfig, Server, ServerHandle};
-use xbfs_telemetry::Recorder;
+use xbfs_server::{protocol, ServeConfig};
 
 fn test_graph() -> Arc<Csr> {
     Arc::new(erdos_renyi(2000, 8_000, 5))
-}
-
-fn start(cfg: ServeConfig, g: Arc<Csr>) -> ServerHandle {
-    Server::start(
-        cfg,
-        g,
-        XbfsConfig::default(),
-        Arc::new(Device::mi250x),
-        Arc::new(Recorder::disabled()),
-    )
-    .expect("server binds")
 }
 
 /// A batch-mode config: one worker so pipelined requests coalesce.
@@ -41,40 +27,6 @@ fn batch_cfg(width: usize, window_ms: f64) -> ServeConfig {
         batch_window_ms: window_ms,
         workers: 1,
         ..ServeConfig::default()
-    }
-}
-
-/// The timing-independent levels digest a solo engine reports for
-/// `source` — what every batched response must quote bit for bit.
-fn reference_levels_digest(g: &Csr, source: u32) -> String {
-    let dev = Device::mi250x();
-    let eng = Xbfs::new(&dev, g, XbfsConfig::default()).unwrap();
-    format!("{:#018x}", eng.run(source).unwrap().result_digest())
-}
-
-struct Client {
-    writer: TcpStream,
-    reader: BufReader<TcpStream>,
-}
-
-impl Client {
-    fn connect(addr: std::net::SocketAddr) -> Self {
-        let writer = TcpStream::connect(addr).expect("connect");
-        writer
-            .set_read_timeout(Some(Duration::from_secs(30)))
-            .unwrap();
-        let reader = BufReader::new(writer.try_clone().unwrap());
-        Self { writer, reader }
-    }
-
-    fn send(&mut self, line: &str) {
-        writeln!(self.writer, "{line}").expect("send");
-    }
-
-    fn recv(&mut self) -> protocol::ResponseSummary {
-        let mut line = String::new();
-        self.reader.read_line(&mut line).expect("recv");
-        protocol::parse_response(line.trim()).expect("parse response")
     }
 }
 
@@ -129,9 +81,7 @@ fn batched_responses_match_solo_levels_digests_bit_for_bit() {
         assert!(width >= 1, "id {id}: {r:?}");
     }
 
-    handle.initiate_drain();
-    let report = handle.join();
-    assert!(report.drain_clean, "{report:?}");
+    let report = drain_clean(handle);
     assert_eq!(report.ok, sources.len() as u64);
     assert_eq!(report.batch_width, 64);
     assert!(report.batches >= 1, "{report:?}");
@@ -165,9 +115,7 @@ fn batch_member_deadlines_are_individual_not_collective() {
         );
     }
 
-    handle.initiate_drain();
-    let report = handle.join();
-    assert!(report.drain_clean, "{report:?}");
+    let report = drain_clean(handle);
     assert_eq!(report.ok, 2);
     assert_eq!(report.timeouts, 1);
 }
@@ -210,9 +158,7 @@ fn panic_in_batch_quarantines_engine_and_replays_members_bit_identically() {
     c2.send("{\"op\":\"ping\",\"id\":9}");
     assert_eq!(c2.recv().status, "ok");
 
-    handle.initiate_drain();
-    let report = handle.join();
-    assert!(report.drain_clean, "{report:?}");
+    let report = drain_clean(handle);
     assert_eq!(report.ok, 3);
     assert_eq!(report.panics_recovered, 1, "{report:?}");
     assert!(report.rebuilds >= 1, "{report:?}");
@@ -266,9 +212,7 @@ fn verified_batch_server_certifies_slots_and_stays_bit_identical() {
             "id {id}: certified batch slots answer the solo digest"
         );
     }
-    handle.initiate_drain();
-    let report = handle.join();
-    assert!(report.drain_clean, "{report:?}");
+    let report = drain_clean(handle);
     assert_eq!(report.ok, reqs.len() as u64);
     assert_eq!(report.rebuilds, 0, "clean certificates never quarantine");
 }

@@ -5,84 +5,20 @@
 //! mid-request checkpoint/restart, idempotent replay, and client-side
 //! shed retries.
 
+mod common;
+
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
 
-use gcd_sim::Device;
-use xbfs_core::{Xbfs, XbfsConfig};
+use common::{drain_clean, reference_digest, reference_levels_digest, start, try_start, Client};
 use xbfs_graph::generators::erdos_renyi;
 use xbfs_graph::Csr;
-use xbfs_server::{
-    protocol, run_loadgen, ChaosPlan, LoadgenConfig, ServeConfig, Server, ServerHandle,
-};
-use xbfs_telemetry::Recorder;
+use xbfs_server::{run_loadgen, ChaosPlan, LoadgenConfig, ServeConfig};
 
 fn test_graph() -> Arc<Csr> {
     Arc::new(erdos_renyi(3000, 12_000, 7))
-}
-
-fn start(cfg: ServeConfig, g: Arc<Csr>) -> ServerHandle {
-    Server::start(
-        cfg,
-        g,
-        XbfsConfig::default(),
-        Arc::new(Device::mi250x),
-        Arc::new(Recorder::disabled()),
-    )
-    .expect("server binds")
-}
-
-/// A client connection with line-level send/recv helpers.
-struct Client {
-    writer: TcpStream,
-    reader: BufReader<TcpStream>,
-}
-
-impl Client {
-    fn connect(addr: std::net::SocketAddr) -> Self {
-        let writer = TcpStream::connect(addr).expect("connect");
-        writer
-            .set_read_timeout(Some(Duration::from_secs(30)))
-            .unwrap();
-        let reader = BufReader::new(writer.try_clone().unwrap());
-        Self { writer, reader }
-    }
-
-    fn send(&mut self, line: &str) {
-        writeln!(self.writer, "{line}").expect("send");
-    }
-
-    fn recv(&mut self) -> protocol::ResponseSummary {
-        let mut line = String::new();
-        self.reader.read_line(&mut line).expect("recv");
-        protocol::parse_response(line.trim()).expect("parse response")
-    }
-
-    fn bfs(&mut self, id: u64, source: u32, extra: &str) -> protocol::ResponseSummary {
-        self.send(&format!(
-            "{{\"v\":\"xbfs-serve-v1\",\"op\":\"bfs\",\"id\":{id},\"source\":{source}{extra}}}"
-        ));
-        self.recv()
-    }
-}
-
-/// The digest a plain single-shot engine computes for this source — the
-/// bit-identity reference every served result must match.
-fn reference_digest(g: &Csr, source: u32) -> String {
-    let dev = Device::mi250x();
-    let eng = Xbfs::new(&dev, g, XbfsConfig::default()).unwrap();
-    format!("{:#018x}", eng.run(source).unwrap().digest())
-}
-
-/// The backend-independent levels-only digest of a fault-free
-/// single-device run — what a `--cluster` server's responses must match
-/// bit for bit, crashes or not.
-fn reference_levels_digest(g: &Csr, source: u32) -> String {
-    let dev = Device::mi250x();
-    let eng = Xbfs::new(&dev, g, XbfsConfig::default()).unwrap();
-    format!("{:#018x}", eng.run(source).unwrap().result_digest())
 }
 
 #[test]
@@ -109,9 +45,7 @@ fn serves_bfs_and_drains_cleanly() {
         );
     }
 
-    handle.initiate_drain();
-    let report = handle.join();
-    assert!(report.drain_clean, "clean drain: {report:?}");
+    let report = drain_clean(handle);
     assert_eq!(report.ok, 3);
     assert_eq!(report.dropped_connections, 0);
 }
@@ -147,9 +81,7 @@ fn worker_panic_is_contained_and_replay_is_bit_identical() {
     c2.send("{\"op\":\"ping\",\"id\":3}");
     assert_eq!(c2.recv().status, "ok");
 
-    handle.initiate_drain();
-    let report = handle.join();
-    assert!(report.drain_clean, "{report:?}");
+    let report = drain_clean(handle);
     assert_eq!(report.panics_recovered, 1);
     assert_eq!(report.rebuilds, 1);
     assert_eq!(report.replayed, 1);
@@ -228,9 +160,7 @@ fn bad_source_is_a_typed_error_not_a_crash() {
     assert_eq!(r.kind.as_deref(), Some("invalid"));
     let r = c.bfs(2, 1, "");
     assert_eq!(r.status, "ok", "server keeps serving after a bad request");
-    handle.initiate_drain();
-    let report = handle.join();
-    assert!(report.drain_clean, "{report:?}");
+    drain_clean(handle);
 }
 
 #[test]
@@ -318,9 +248,7 @@ fn cluster_recovers_rank_crash_within_request_and_digest_matches_single_device()
         Some(reference_levels_digest(&g, 42).as_str())
     );
 
-    handle.initiate_drain();
-    let report = handle.join();
-    assert!(report.drain_clean, "{report:?}");
+    let report = drain_clean(handle);
     assert_eq!(report.cluster, 4);
     assert_eq!(
         report.rank_health.len(),
@@ -348,9 +276,7 @@ fn crash_chaos_on_single_device_server_is_a_usage_error() {
     let r = c.bfs(1, 0, ",\"chaos\":\"crash@1:rank0\"");
     assert_eq!(r.status, "error");
     assert_eq!(r.kind.as_deref(), Some("usage"));
-    handle.initiate_drain();
-    let report = handle.join();
-    assert!(report.drain_clean, "{report:?}");
+    drain_clean(handle);
 }
 
 #[test]
@@ -377,9 +303,7 @@ fn replayed_completed_id_is_answered_from_cache_not_reexecuted() {
     assert_eq!(other.status, "ok");
     assert_eq!(other.deduped, None);
 
-    handle.initiate_drain();
-    let report = handle.join();
-    assert!(report.drain_clean, "{report:?}");
+    let report = drain_clean(handle);
     assert_eq!(report.ok, 2, "only two executions for three requests");
     assert_eq!(report.deduped, 1);
 }
@@ -420,9 +344,7 @@ fn loadgen_retries_shed_requests_until_they_land() {
         "{report:?}"
     );
 
-    handle.initiate_drain();
-    let sreport = handle.join();
-    assert!(sreport.drain_clean, "{sreport:?}");
+    drain_clean(handle);
 }
 
 #[test]
@@ -468,9 +390,7 @@ fn chaos_soak_on_cluster_loses_nothing_and_recovers_ranks() {
         Some(reference_levels_digest(&g, 0).as_str())
     );
 
-    handle.initiate_drain();
-    let sreport = handle.join();
-    assert!(sreport.drain_clean, "{sreport:?}");
+    let sreport = drain_clean(handle);
     let crashes: u64 = sreport.rank_health.iter().map(|h| h.crashes).sum();
     let restores: u64 = sreport
         .rank_health
@@ -515,6 +435,23 @@ fn tmp_journal(name: &str) -> std::path::PathBuf {
     p
 }
 
+/// Journal admits with no completions, as a process that died before
+/// answering them would leave behind.
+fn write_admits(path: &std::path::Path, admits: &[(u64, u32)]) {
+    let (j, _) = xbfs_server::Journal::open(path, xbfs_server::FsyncPolicy::Always).unwrap();
+    for &(id, source) in admits {
+        let (deadline_ms, verify, chaos) = (None, None, None);
+        let req = xbfs_server::BfsRequest {
+            id,
+            source,
+            deadline_ms,
+            verify,
+            chaos,
+        };
+        j.append_admit(&req).unwrap();
+    }
+}
+
 /// A restart on the same journal warm-starts the dedup cache: a client
 /// that resends a completed id gets the cached response (`deduped`)
 /// with the identical digest, without recomputation.
@@ -529,9 +466,7 @@ fn restart_on_same_journal_dedupes_completed_ids() {
     assert_eq!(first.status, "ok");
     let digest = first.digest.clone().expect("ok carries a digest");
     drop(c);
-    handle.initiate_drain();
-    let report = handle.join();
-    assert!(report.drain_clean, "{report:?}");
+    let report = drain_clean(handle);
     assert!(report.journal_appends >= 2, "admit + done: {report:?}");
 
     // Process 2 on the same journal: the resent id must be answered from
@@ -548,9 +483,7 @@ fn restart_on_same_journal_dedupes_completed_ids() {
     assert_eq!(fresh.status, "ok");
     assert_ne!(fresh.deduped, Some(true));
     drop(c);
-    handle.initiate_drain();
-    let report = handle.join();
-    assert!(report.drain_clean, "{report:?}");
+    let report = drain_clean(handle);
     assert!(report.deduped >= 1, "{report:?}");
     assert_eq!(report.replayed_requests, 0, "nothing was incomplete");
     let _ = std::fs::remove_file(&path);
@@ -567,26 +500,14 @@ fn restart_replays_incomplete_admits_bit_identically() {
     {
         // Simulate the dead process: admits with no completions, then a
         // torn half-record where the SIGKILL landed.
-        let (j, _) = xbfs_server::Journal::open(&path, xbfs_server::FsyncPolicy::Always).unwrap();
-        for &(id, source) in lost {
-            j.append_admit(&xbfs_server::BfsRequest {
-                id,
-                source,
-                deadline_ms: None,
-                verify: None,
-                chaos: None,
-            })
-            .unwrap();
-        }
+        write_admits(&path, lost);
     }
     let mut bytes = std::fs::read(&path).unwrap();
     bytes.extend_from_slice(&[0x42, 0x00, 0x13]); // torn tail
     std::fs::write(&path, &bytes).unwrap();
 
     let handle = start(journal_cfg(&path), Arc::clone(&g));
-    handle.initiate_drain();
-    let report = handle.join();
-    assert!(report.drain_clean, "{report:?}");
+    let report = drain_clean(handle);
     assert_eq!(report.replayed_requests, lost.len() as u64, "{report:?}");
     assert_eq!(report.ok, lost.len() as u64, "{report:?}");
     assert!(report.recovery_ms >= 0.0, "{report:?}");
@@ -608,6 +529,28 @@ fn restart_replays_incomplete_admits_bit_identically() {
             "recovered result must be bit-identical to a fresh run"
         );
     }
+    let _ = std::fs::remove_file(&path);
+}
+
+/// A zero-length queue can never hold a recovered admit, and zero
+/// workers would never drain one: start refuses both up front with a
+/// typed error instead of hanging in journal recovery.
+#[test]
+fn zero_queue_cap_or_workers_is_rejected_before_journal_replay() {
+    let path = tmp_journal("cap0");
+    write_admits(&path, &[(1, 0)]);
+    for (workers, queue_cap) in [(1, 0), (0, 1)] {
+        let cfg = ServeConfig {
+            workers,
+            queue_cap,
+            ..journal_cfg(&path)
+        };
+        let err = try_start(cfg, test_graph()).err().expect("must not start");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{err}");
+    }
+    // Nothing was replayed: the admit still waits for a real server.
+    let replay = xbfs_server::replay_bytes(&std::fs::read(&path).unwrap());
+    assert_eq!(replay.incomplete.len(), 1);
     let _ = std::fs::remove_file(&path);
 }
 
@@ -643,9 +586,7 @@ fn overlong_lines_shed_and_idle_connections_close() {
     let n = BufReader::new(idle).read_line(&mut line).unwrap();
     assert_eq!(n, 0, "idle connection must be closed, got {line:?}");
 
-    handle.initiate_drain();
-    let report = handle.join();
-    assert!(report.drain_clean, "{report:?}");
+    let report = drain_clean(handle);
     assert_eq!(report.long_lines, 1, "{report:?}");
     assert!(report.idle_disconnects >= 1, "{report:?}");
 }

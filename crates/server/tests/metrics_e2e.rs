@@ -5,68 +5,33 @@
 //! worker panics leave a flight-recorder dump referenced by the report,
 //! and `xbfs top` renders frames from successive snapshots.
 
-use std::io::{BufRead, BufReader, Read, Write};
+mod common;
+
+use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
 
-use gcd_sim::Device;
-use xbfs_core::XbfsConfig;
+use common::{drain_clean, start, Client};
 use xbfs_graph::generators::erdos_renyi;
 use xbfs_graph::Csr;
 use xbfs_server::top::{run_top, TopSnapshot};
-use xbfs_server::{ServeConfig, Server, ServerHandle};
+use xbfs_server::ServeConfig;
 use xbfs_telemetry::json::JsonValue;
 use xbfs_telemetry::names::live;
-use xbfs_telemetry::Recorder;
 
 fn test_graph() -> Arc<Csr> {
     Arc::new(erdos_renyi(2000, 8_000, 11))
 }
 
-fn start(cfg: ServeConfig, g: Arc<Csr>) -> ServerHandle {
-    Server::start(
-        cfg,
-        g,
-        XbfsConfig::default(),
-        Arc::new(Device::mi250x),
-        Arc::new(Recorder::disabled()),
-    )
-    .expect("server binds")
+/// Scrape via the wire `metrics` op, returning the parsed snapshot.
+fn scrape(c: &mut Client, id: u64) -> TopSnapshot {
+    let resp = c.roundtrip(&format!("{{\"op\":\"metrics\",\"id\":{id}}}"));
+    let v = JsonValue::parse(&resp).expect("metrics response parses");
+    assert_eq!(v.get("status").and_then(|s| s.as_str()), Some("ok"));
+    TopSnapshot::parse(v.get("metrics").expect("metrics payload"))
+        .expect("payload is xbfs-metrics-v1")
 }
-
-struct Client {
-    writer: TcpStream,
-    reader: BufReader<TcpStream>,
-}
-
-impl Client {
-    fn connect(addr: std::net::SocketAddr) -> Self {
-        let writer = TcpStream::connect(addr).expect("connect");
-        writer
-            .set_read_timeout(Some(Duration::from_secs(30)))
-            .unwrap();
-        let reader = BufReader::new(writer.try_clone().unwrap());
-        Self { writer, reader }
-    }
-
-    fn roundtrip(&mut self, line: &str) -> String {
-        writeln!(self.writer, "{line}").expect("send");
-        let mut resp = String::new();
-        self.reader.read_line(&mut resp).expect("recv");
-        resp.trim().to_string()
-    }
-
-    /// Scrape via the wire `metrics` op, returning the parsed snapshot.
-    fn scrape(&mut self, id: u64) -> TopSnapshot {
-        let resp = self.roundtrip(&format!("{{\"op\":\"metrics\",\"id\":{id}}}"));
-        let v = JsonValue::parse(&resp).expect("metrics response parses");
-        assert_eq!(v.get("status").and_then(|s| s.as_str()), Some("ok"));
-        TopSnapshot::parse(v.get("metrics").expect("metrics payload"))
-            .expect("payload is xbfs-metrics-v1")
-    }
-}
-
 fn tmpdir(tag: &str) -> std::path::PathBuf {
     let d = std::env::temp_dir().join(format!("xbfs-me2e-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&d);
@@ -93,7 +58,7 @@ fn metrics_op_snapshot_reconciles_with_final_report() {
 
     // Everything above completed before this scrape, so the snapshot
     // must agree exactly with what the final report will say.
-    let snap = c.scrape(90);
+    let snap = scrape(&mut c, 90);
     assert_eq!(snap.counter(live::REQUESTS_TOTAL, &[("status", "ok")]), 3);
     assert_eq!(
         snap.counter(live::REQUESTS_TOTAL, &[("status", "timeout")]),
@@ -107,9 +72,7 @@ fn metrics_op_snapshot_reconciles_with_final_report() {
     assert_eq!(count, 3);
     assert!(p50 > 0.0 && p99 >= p50, "p50 {p50} p99 {p99}");
 
-    handle.initiate_drain();
-    let report = handle.join();
-    assert!(report.drain_clean);
+    let report = drain_clean(handle);
     assert_eq!(report.ok, 3);
     assert_eq!(report.timeouts, 1);
     assert_eq!(
@@ -164,9 +127,7 @@ fn http_listener_serves_prometheus_and_json_mid_load() {
     let r = c.roundtrip("{\"v\":\"xbfs-serve-v1\",\"op\":\"bfs\",\"id\":9,\"source\":7}");
     assert!(r.contains("\"status\":\"ok\""), "{r}");
 
-    handle.initiate_drain();
-    let report = handle.join();
-    assert!(report.drain_clean, "{report:?}");
+    let report = drain_clean(handle);
     assert_eq!(report.ok, 4);
 }
 
@@ -188,7 +149,7 @@ fn worker_panic_dumps_flight_recorder_and_report_references_it() {
     );
     assert!(r.contains("\"status\":\"ok\""), "replay succeeds: {r}");
 
-    let snap = c.scrape(50);
+    let snap = scrape(&mut c, 50);
     assert!(snap.counter(live::FLIGHT_DUMPS_TOTAL, &[]) >= 1);
     assert_eq!(
         snap.counter(live::WORKER_PANICS_TOTAL, &[("worker", "0")]),
@@ -238,7 +199,5 @@ fn top_renders_frames_from_a_live_server() {
     assert!(text.contains("breaker    closed"), "{text}");
     assert!(text.contains("w0="), "{text}");
 
-    handle.initiate_drain();
-    let report = handle.join();
-    assert!(report.drain_clean, "{report:?}");
+    drain_clean(handle);
 }

@@ -261,5 +261,15 @@ pub mod names {
         pub const LONG_LINES_TOTAL: &str = "serve.long_lines_total";
         /// Connections closed by the idle read timeout.
         pub const IDLE_DISCONNECTS_TOTAL: &str = "serve.idle_disconnects_total";
+        /// `ok` responses that needed a quarantine replay first.
+        pub const REPLAYED_TOTAL: &str = "serve.replayed_total";
+        /// Chaos tokens ignored because the server did not opt in.
+        pub const CHAOS_IGNORED_TOTAL: &str = "serve.chaos_ignored_total";
+        /// Connections whose writer failed with a response still owed.
+        pub const DROPPED_CONNECTIONS_TOTAL: &str = "serve.dropped_connections_total";
+        /// Completions whose connection was already gone.
+        pub const UNDELIVERED_TOTAL: &str = "serve.undelivered_total";
+        /// Widest batch coalesced so far (gauge).
+        pub const MAX_BATCH_SIZE: &str = "serve.max_batch_size";
     }
 }

@@ -96,6 +96,16 @@ impl Gauge {
         self.0.store(value.to_bits(), Ordering::Relaxed);
     }
 
+    /// Raise the gauge to `value` if that is larger (a high-water mark
+    /// that racing writers never lower).
+    pub fn set_max(&self, value: f64) {
+        let _ = self
+            .0
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |cur| {
+                (value > f64::from_bits(cur)).then_some(value.to_bits())
+            });
+    }
+
     /// Current value.
     pub fn get(&self) -> f64 {
         f64::from_bits(self.0.load(Ordering::Relaxed))
@@ -222,6 +232,9 @@ mod tests {
         let g = Gauge::new();
         g.set(0.25);
         assert_eq!(g.get(), 0.25);
+        g.set_max(3.0);
+        g.set_max(2.0);
+        assert_eq!(g.get(), 3.0);
     }
 
     /// Regression test for scrape consistency: concurrent scrapes of a

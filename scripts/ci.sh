@@ -118,6 +118,14 @@ for _ in $(seq 1 100); do
   if (exec 3<>"/dev/tcp/127.0.0.1/$PORT") 2>/dev/null; then break; fi
   sleep 0.1
 done
+# unloaded first: one connection at 20 rps must be answered within a
+# small constant of engine time (no read-timeout floor on the wire path)
+"$XBFS" loadgen --addr "127.0.0.1:$PORT" --requests 100 --rps 20 --sources 16 \
+  --connections 1 --json "$SMOKE/unloaded.json" | tee "$SMOKE/unloaded.out"
+P50=$(grep -o '"p50_ms":[0-9.]*' "$SMOKE/unloaded.json" | grep -o '[0-9.]*$')
+echo "    unloaded p50: ${P50} ms"
+awk -v p="$P50" 'BEGIN { exit !(p <= 25) }' \
+  || { echo "unloaded p50 ${P50} ms exceeds 25 ms" >&2; exit 1; }
 # offer far more than it can take; --shutdown drains the daemon afterwards
 "$XBFS" loadgen --addr "127.0.0.1:$PORT" --requests 400 --rps 4000 \
   --connections 8 --sources 16 --max-shed-pct 98 \
