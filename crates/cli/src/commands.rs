@@ -4,7 +4,7 @@
 use crate::args::Args;
 use gcd_sim::{ArchProfile, Compiler, Device, ExecMode};
 use std::path::Path;
-use xbfs_core::{ms_bfs, BitflipPlan, Sabotage, Strategy, Xbfs, XbfsConfig, XbfsError};
+use xbfs_core::{ms_bfs, BitflipPlan, RunOpts, Sabotage, Strategy, Xbfs, XbfsConfig, XbfsError};
 use xbfs_graph::builder::BuildOptions;
 use xbfs_graph::generators::{rmat_graph, RmatParams};
 use xbfs_graph::stats::{level_profile, pick_sources, summarize};
@@ -656,7 +656,13 @@ fn bfs(args: &Args) -> Result<String, CliError> {
     let sab = plan.as_ref().map(|plan| Sabotage { plan, salt: 0 });
     // One governed entry point: sabotage, deadline budget and
     // certification compose; a blown budget maps to exit code 8.
-    let (run, cert) = xbfs.run_governed(source, &recorder, sab.as_ref(), deadline_ms, verify)?;
+    let opts = RunOpts {
+        recorder: Some(&recorder),
+        sabotage: sab.as_ref(),
+        deadline_ms,
+        certify: verify,
+    };
+    let (run, cert) = xbfs.run_governed(source, &opts)?;
     let mut cert_note = String::new();
     if let Some(cert) = &cert {
         cert_note = format!(
@@ -798,7 +804,7 @@ fn cluster(args: &Args) -> Result<String, CliError> {
         eprint!("{trace_warning}");
     }
     let mut cluster = GcdCluster::new(&g, cfg, LinkModel::frontier())?;
-    let run = cluster.run_with_faults_traced(source, &faults, &recorder)?;
+    let run = cluster.run_governed(source, &faults, &recorder, None)?;
 
     let mut out = trace_warning;
     out.push_str(&format!(
@@ -1061,7 +1067,12 @@ fn sweep_worker(
                         })
                     })
                     .flatten();
-                match engine.run_verified(s, &Recorder::disabled(), sab.as_ref()) {
+                let opts = RunOpts {
+                    sabotage: sab.as_ref(),
+                    certify: true,
+                    ..RunOpts::default()
+                };
+                match engine.run_governed(s, &opts) {
                     Ok((run, _cert)) => {
                         health.certified += 1;
                         if attempt > 0 {
@@ -1266,7 +1277,7 @@ fn sweep(args: &Args) -> Result<String, CliError> {
         // reference must pay the same certification cost or the
         // pooled-vs-unpooled ratio compares different amounts of work.
         let run = if verify {
-            xbfs.run_verified(s, &Recorder::disabled(), None)?.0
+            xbfs.run_certified(s)?.0
         } else {
             xbfs.run(s)?
         };

@@ -131,30 +131,12 @@ impl<D: Borrow<Device>> MsBfs<D> {
         self.graph.num_vertices()
     }
 
-    /// Run up to [`MAX_CONCURRENT`] BFS instances in one shared traversal.
-    ///
-    /// Panics on invalid input (empty / oversized batch, out-of-range
-    /// source); serving layers should use [`MsBfs::run_governed`], which
-    /// returns typed errors and supports deadlines and certification.
-    pub fn run_batch(&self, sources: &[u32]) -> MsBfsRun {
-        assert!(!sources.is_empty(), "need at least one source");
-        assert!(
-            sources.len() <= MAX_CONCURRENT,
-            "at most {MAX_CONCURRENT} concurrent sources"
-        );
-        let n = self.graph.num_vertices();
-        for &s in sources {
-            assert!((s as usize) < n, "source {s} out of range");
-        }
-        self.run_impl(sources, None)
-            .expect("no deadline: run cannot fail")
-    }
-
-    /// The serving layer's entry point: one batch under every governor at
-    /// once. `deadline_ms` bounds the modeled clock (checked between
-    /// levels — a batch that completes on its last level is never a
-    /// timeout), `verify` runs the pool sweeps, CSR re-check, and the
-    /// per-slot certificate ([`certify_ms_run`]).
+    /// Run up to [`MAX_CONCURRENT`] BFS instances in one shared traversal,
+    /// under every governor at once. `deadline_ms` bounds the modeled clock
+    /// (checked between levels — a batch that completes on its last level
+    /// is never a timeout), `verify` runs the pool sweeps, CSR re-check,
+    /// and the per-slot certificate ([`certify_ms_run`]). Panics on an
+    /// empty or oversized batch; an out-of-range source is a typed error.
     pub fn run_governed(
         &self,
         sources: &[u32],
@@ -468,11 +450,13 @@ impl MsBfsRun {
 ///
 /// One-shot convenience over [`MsBfs`]: builds the engine (upload +
 /// buffers) and runs a single batch. Batched drivers should keep an
-/// [`MsBfs`] alive instead.
+/// [`MsBfs`] alive instead. Panics on an empty graph, an empty or
+/// oversized batch, or an out-of-range source.
 pub fn ms_bfs(device: &Device, graph: &Csr, sources: &[u32]) -> MsBfsRun {
     MsBfs::new(device, graph)
-        .expect("one-shot ms_bfs requires a non-empty graph")
-        .run_batch(sources)
+        .and_then(|engine| engine.run_governed(sources, None, false))
+        .map(|(run, _)| run)
+        .expect("one-shot ms_bfs needs a non-empty graph and in-range sources")
 }
 
 /// Expansion: each frontier vertex pushes `its bits & !seen` to neighbors
@@ -718,9 +702,9 @@ mod tests {
             vec![0, 0, 1],
             pick_sources(&g, 17, 9),
         ];
-        let first = engine.run_batch(&batches[0]);
+        let first = engine.run_governed(&batches[0], None, false).unwrap().0;
         for (bi, sources) in batches.iter().enumerate() {
-            let warm = engine.run_batch(sources);
+            let warm = engine.run_governed(sources, None, false).unwrap().0;
             let fresh = ms_bfs(&Device::mi250x(), &g, sources);
             assert_eq!(warm.levels, fresh.levels, "batch {bi} levels diverged");
             for slot in 0..sources.len() {
@@ -731,7 +715,7 @@ mod tests {
                 );
             }
         }
-        let again = engine.run_batch(&batches[0]);
+        let again = engine.run_governed(&batches[0], None, false).unwrap().0;
         assert_eq!(first.levels, again.levels);
     }
 
@@ -776,7 +760,7 @@ mod tests {
         let dev = Device::mi250x();
         let engine = MsBfs::new(&dev, &g).unwrap();
         let sources = pick_sources(&g, 24, 13);
-        let run = engine.run_batch(&sources);
+        let run = engine.run_governed(&sources, None, false).unwrap().0;
         let solo_dev = Device::mi250x();
         let xbfs = crate::Xbfs::new(&solo_dev, &g, crate::XbfsConfig::default()).unwrap();
         for (i, &s) in sources.iter().enumerate() {

@@ -863,7 +863,7 @@ mod tests {
         let g = rmat_graph(RmatParams::graph500(8), 11);
         let dev = Device::mi250x();
         let eng = crate::concurrent::MsBfs::new(&dev, &g).unwrap();
-        let run = eng.run_batch(&[0, 5, 9, 5]);
+        let run = eng.run_governed(&[0, 5, 9, 5], None, false).unwrap().0;
         (g.offsets().to_vec(), g.adjacency().to_vec(), run)
     }
 

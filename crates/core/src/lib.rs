@@ -58,7 +58,7 @@ pub use integrity::{
     IntegrityError, Sabotage,
 };
 pub use run_ctx::RunCtx;
-pub use runner::Xbfs;
+pub use runner::{RunOpts, Xbfs};
 pub use state::{decode_level, is_unvisited, BfsState, BinThresholds, QueueState, UNVISITED};
 pub use stats::{levels_digest, BfsRun, LevelStats};
 pub use strategy::Strategy;

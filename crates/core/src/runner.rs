@@ -53,6 +53,26 @@ fn phase_label<'s>(labels: &'s mut Vec<String>, scratch_allocs: &mut u64, level:
     labels[idx].as_str()
 }
 
+/// Options for one [`Xbfs::run_governed`] call. `Default` is the plain hot
+/// path: no telemetry, no injection, no budget, no certificate.
+#[derive(Clone, Copy, Default)]
+pub struct RunOpts<'a> {
+    /// Records a `run > level > {queue_gen, expand} > kernel` span tree on
+    /// the modeled device timeline, per-level strategy-choice events, and
+    /// frontier/fetch counter series. `None` records nothing.
+    pub recorder: Option<&'a Recorder>,
+    /// Bit flips injected into live device state inside the run.
+    pub sabotage: Option<&'a Sabotage<'a>>,
+    /// Modeled-time budget: between levels the device clock is checked
+    /// against it, and a run that crosses it aborts with
+    /// [`XbfsError::DeadlineExceeded`]. The pooled state stays reusable
+    /// after an abort — the next run's epoch reset clears it in O(1).
+    pub deadline_ms: Option<f64>,
+    /// Checksum the pool and CSR around the run and validate the output
+    /// with [`crate::integrity::certify_run`].
+    pub certify: bool,
+}
+
 /// An XBFS instance bound to a device-resident graph.
 ///
 /// Generic over how it holds the device: `Xbfs<&Device>` borrows a device
@@ -124,96 +144,40 @@ impl<D: Borrow<Device>> Xbfs<D> {
     /// statistics. Models the paper's "n to n" measured window: status
     /// initialization through final sync.
     pub fn run(&self, source: u32) -> Result<BfsRun, XbfsError> {
-        self.run_traced(source, &Recorder::disabled())
+        self.run_impl(source, &Recorder::disabled(), None, None)
     }
 
-    /// Like [`Xbfs::run`], but records structured telemetry into `rec`:
-    /// a `run > level > {queue_gen, expand} > kernel` span tree on the
-    /// modeled device timeline, per-level strategy-choice events, and
-    /// frontier/fetch counter series. With a disabled recorder every
-    /// telemetry call is a single relaxed atomic load, so this is the
-    /// same hot path `run` uses.
-    pub fn run_traced(&self, source: u32, rec: &Recorder) -> Result<BfsRun, XbfsError> {
-        self.run_impl(source, rec, None, None)
-    }
-
-    /// [`Xbfs::run`] under a modeled-time budget: between levels the device
-    /// clock is checked against `deadline_ms`, and a run that crosses it
-    /// aborts with [`XbfsError::DeadlineExceeded`] instead of finishing.
-    /// The pooled state stays reusable after an abort — the next run's
-    /// epoch reset clears the partial traversal in O(1).
-    pub fn run_with_deadline(&self, source: u32, deadline_ms: f64) -> Result<BfsRun, XbfsError> {
-        self.run_impl(source, &Recorder::disabled(), None, Some(deadline_ms))
-    }
-
-    /// Run with certificate validation: the pool and CSR are checksummed
-    /// around the run and the output is validated by
-    /// [`crate::integrity::certify_run`]; any detection surfaces as
-    /// [`XbfsError::Integrity`]. The run itself is the exact hot path
-    /// [`Xbfs::run`] executes, so certified fault-free results are
-    /// bit-identical to unverified ones.
+    /// Run with certificate validation (see [`RunOpts::certify`]); any
+    /// detection surfaces as [`XbfsError::Integrity`]. The run itself is the
+    /// exact hot path [`Xbfs::run`] executes, so certified fault-free
+    /// results are bit-identical to unverified ones.
     pub fn run_certified(&self, source: u32) -> Result<(BfsRun, Certificate), XbfsError> {
-        self.run_certified_traced(source, &Recorder::disabled())
+        self.run_checked(source, &Recorder::disabled(), None, None)
     }
 
-    /// [`Xbfs::run_certified`] with telemetry (see [`Xbfs::run_traced`]).
-    pub fn run_certified_traced(
-        &self,
-        source: u32,
-        rec: &Recorder,
-    ) -> Result<(BfsRun, Certificate), XbfsError> {
-        self.run_verified(source, rec, None)
-    }
-
-    /// Run with bit-flip injection but *no* verification — the "what does
-    /// corruption do when nothing checks" baseline the CLI exposes as
-    /// `--inject-bitflips` without `--verify`.
-    pub fn run_with_sabotage(
-        &self,
-        source: u32,
-        rec: &Recorder,
-        sabotage: &Sabotage<'_>,
-    ) -> Result<BfsRun, XbfsError> {
-        self.run_impl(source, rec, Some(sabotage), None)
-    }
-
-    /// The serving layer's entry point: one run under every governor at
-    /// once. `deadline_ms` bounds the modeled clock (see
-    /// [`Xbfs::run_with_deadline`]), `verify` turns on the full
-    /// [`Xbfs::run_verified`] pipeline (pool sweeps, CSR re-check,
-    /// certificate), and `sabotage` injects faults for chaos testing.
-    /// With `verify` off the certificate is `None` and the run is the
-    /// exact unverified hot path.
+    /// One run under every governor [`RunOpts`] names. The certificate is
+    /// `Some` exactly when `opts.certify` is set; with default options this
+    /// is the plain hot path.
     pub fn run_governed(
         &self,
         source: u32,
-        rec: &Recorder,
-        sabotage: Option<&Sabotage<'_>>,
-        deadline_ms: Option<f64>,
-        verify: bool,
+        opts: &RunOpts<'_>,
     ) -> Result<(BfsRun, Option<Certificate>), XbfsError> {
-        if verify {
-            self.run_checked(source, rec, sabotage, deadline_ms)
+        let disabled = Recorder::disabled();
+        let rec = opts.recorder.unwrap_or(&disabled);
+        if opts.certify {
+            self.run_checked(source, rec, opts.sabotage, opts.deadline_ms)
                 .map(|(run, cert)| (run, Some(cert)))
         } else {
-            self.run_impl(source, rec, sabotage, deadline_ms)
+            self.run_impl(source, rec, opts.sabotage, opts.deadline_ms)
                 .map(|run| (run, None))
         }
     }
 
-    /// The full verified pipeline: pre-run pool sweep, the (optionally
+    /// The certified pipeline: pre-run pool sweep, the (optionally
     /// sabotaged) run, CSR checksum re-check, certificate validation, and
     /// a post-run pool sweep. Injection, when requested, happens inside
     /// the run — this is how the detection path is exercised end to end.
-    pub fn run_verified(
-        &self,
-        source: u32,
-        rec: &Recorder,
-        sabotage: Option<&Sabotage<'_>>,
-    ) -> Result<(BfsRun, Certificate), XbfsError> {
-        self.run_checked(source, rec, sabotage, None)
-    }
-
     fn run_checked(
         &self,
         source: u32,
@@ -736,9 +700,11 @@ mod tests {
         let full = xbfs.run(0).unwrap();
         assert!(full.depth() > 2, "need a multi-level run to abort");
         // A budget below the full runtime must fire between levels.
-        let err = xbfs
-            .run_with_deadline(0, full.total_ms / 100.0)
-            .unwrap_err();
+        let opts = RunOpts {
+            deadline_ms: Some(full.total_ms / 100.0),
+            ..RunOpts::default()
+        };
+        let err = xbfs.run_governed(0, &opts).unwrap_err();
         match err {
             XbfsError::DeadlineExceeded {
                 level,
@@ -761,14 +727,20 @@ mod tests {
         let dev = Device::mi250x();
         let xbfs = Xbfs::new(&dev, &g, XbfsConfig::default()).unwrap();
         let reference = xbfs.run(5).unwrap();
-        assert!(xbfs.run_with_deadline(5, 1e-6).is_err());
+        let tight = RunOpts {
+            deadline_ms: Some(1e-6),
+            ..RunOpts::default()
+        };
+        assert!(xbfs.run_governed(5, &tight).is_err());
         let after_abort = xbfs.run(5).unwrap();
         assert_eq!(after_abort.levels, reference.levels);
         assert_eq!(after_abort.digest(), reference.digest());
         // And a generous budget behaves exactly like no budget at all.
-        let roomy = xbfs
-            .run_with_deadline(5, reference.total_ms * 100.0)
-            .unwrap();
+        let roomy = RunOpts {
+            deadline_ms: Some(reference.total_ms * 100.0),
+            ..RunOpts::default()
+        };
+        let (roomy, _) = xbfs.run_governed(5, &roomy).unwrap();
         assert_eq!(roomy.digest(), reference.digest());
     }
 
@@ -777,16 +749,18 @@ mod tests {
         let g = erdos_renyi(2000, 8000, 5);
         let dev = Device::mi250x();
         let xbfs = Xbfs::new(&dev, &g, XbfsConfig::default()).unwrap();
-        let rec = Recorder::disabled();
-        let (run, cert) = xbfs.run_governed(0, &rec, None, Some(1e9), true).unwrap();
-        assert!(cert.is_some(), "verify=true must yield a certificate");
+        let certified = |deadline_ms| RunOpts {
+            deadline_ms: Some(deadline_ms),
+            certify: true,
+            ..RunOpts::default()
+        };
+        let (run, cert) = xbfs.run_governed(0, &certified(1e9)).unwrap();
+        assert!(cert.is_some(), "certify must yield a certificate");
         assert_eq!(run.levels, bfs_levels_serial(&g, 0));
-        let (fast, no_cert) = xbfs.run_governed(0, &rec, None, None, false).unwrap();
+        let (fast, no_cert) = xbfs.run_governed(0, &RunOpts::default()).unwrap();
         assert!(no_cert.is_none());
         assert_eq!(fast.digest(), run.digest());
-        let err = xbfs
-            .run_governed(0, &rec, None, Some(1e-6), true)
-            .unwrap_err();
+        let err = xbfs.run_governed(0, &certified(1e-6)).unwrap_err();
         assert!(matches!(err, XbfsError::DeadlineExceeded { .. }));
     }
 }

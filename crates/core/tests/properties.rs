@@ -124,7 +124,7 @@ proptest! {
         let n = g.num_vertices() as u32;
         let sources: Vec<u32> = raw_sources.into_iter().map(|s| s % n).collect();
         let dev = Device::mi250x();
-        let run = MsBfs::new(&dev, &g).unwrap().run_batch(&sources);
+        let run = MsBfs::new(&dev, &g).unwrap().run_governed(&sources, None, false).unwrap().0;
         prop_assert_eq!(run.width(), sources.len());
         for (slot, &src) in sources.iter().enumerate() {
             prop_assert_eq!(

@@ -22,23 +22,10 @@ pub enum ExecMode {
     /// approximated by the per-wave coalescer only (no shared L2 model).
     /// Fast — used for end-to-end GTEPS experiments.
     Functional,
-    /// Wavefronts replay through a shared L2 model, producing exact
-    /// rocprofiler-style counters. Slow — used for Tables I, III–VI. See
-    /// [`TimingReplay`] for how the replay is scheduled.
+    /// Wavefronts replay one at a time, in wave order, through a shared L2
+    /// model, producing exact rocprofiler-style counters. Slow — used for
+    /// Tables I, III–VI.
     Timing,
-}
-
-/// How timing-mode launches drive the shared L2 model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum TimingReplay {
-    /// One wave at a time through the L2 — the original reference path.
-    Sequential,
-    /// Two-phase: waves execute through `into_par_iter`, capturing their
-    /// coalescer misses in order; the captured lines are then replayed
-    /// through the L2 in wave order. Bit-identical to [`Self::Sequential`]
-    /// (DESIGN.md §8) while keeping every dispatch parallel-shaped.
-    #[default]
-    Parallel,
 }
 
 /// Per-wave coalescer capacity in lines (≈ the 16 KiB L0/L1 vector cache of
@@ -211,7 +198,6 @@ pub struct PoolGauges {
 pub struct Device {
     arch: ArchProfile,
     mode: ExecMode,
-    replay: TimingReplay,
     compiler: Compiler,
     l2: Mutex<L2Model>,
     next_addr: AtomicU64,
@@ -251,7 +237,6 @@ impl Device {
         Self {
             arch,
             mode,
-            replay: TimingReplay::default(),
             compiler: Compiler::ClangO3,
             l2: Mutex::new(l2),
             next_addr: AtomicU64::new(0),
@@ -286,17 +271,6 @@ impl Device {
     /// The execution mode.
     pub fn mode(&self) -> ExecMode {
         self.mode
-    }
-
-    /// Select how timing-mode launches replay through the L2 (the default,
-    /// [`TimingReplay::Parallel`], is bit-identical to the sequential path).
-    pub fn set_timing_replay(&mut self, replay: TimingReplay) {
-        self.replay = replay;
-    }
-
-    /// Current timing-replay schedule.
-    pub fn timing_replay(&self) -> TimingReplay {
-        self.replay
     }
 
     /// Select the compiler model (paper §IV-A).
@@ -678,8 +652,8 @@ impl Device {
     {
         let width = self.arch.wavefront_size;
         let n_waves = cfg.items.div_ceil(width);
-        let stats = match (self.mode, self.replay) {
-            (ExecMode::Functional, _) => (0..n_waves)
+        let stats = match self.mode {
+            ExecMode::Functional => (0..n_waves)
                 .into_par_iter()
                 .map_init(
                     || Coalescer::new(COALESCER_LINES, self.arch.line_bytes),
@@ -693,33 +667,7 @@ impl Device {
                     a.merge(&b);
                     a
                 }),
-            (ExecMode::Timing, TimingReplay::Parallel) => {
-                // Phase A: waves run in parallel, each against its own cold
-                // coalescer, capturing L2-bound lines in execution order.
-                let captured: Vec<(WaveStats, Vec<(u64, bool)>)> = (0..n_waves)
-                    .into_par_iter()
-                    .map_init(
-                        || Coalescer::new(COALESCER_LINES, self.arch.line_bytes),
-                        |co, w| {
-                            let mut misses = Vec::new();
-                            let mut ctx = WaveCtx::new(
-                                w,
-                                width,
-                                cfg.items,
-                                co,
-                                MemSink::Capture(&mut misses),
-                            );
-                            body(&mut ctx);
-                            let stats = ctx.stats;
-                            (stats, misses)
-                        },
-                    )
-                    .collect();
-                // Phase B: classify the capture through the shared L2 in
-                // wave order — bit-identical to the sequential schedule.
-                self.classify_captured(captured)
-            }
-            (ExecMode::Timing, TimingReplay::Sequential) => {
+            ExecMode::Timing => {
                 let mut l2 = self.l2.lock();
                 l2.reset_counters();
                 let mut co = Coalescer::new(COALESCER_LINES, self.arch.line_bytes);
@@ -751,8 +699,8 @@ impl Device {
         F: Fn(&mut GroupCtx) + Sync,
     {
         let width = self.arch.wavefront_size;
-        let stats = match (self.mode, self.replay) {
-            (ExecMode::Functional, _) => (0..cfg.groups)
+        let stats = match self.mode {
+            ExecMode::Functional => (0..cfg.groups)
                 .into_par_iter()
                 .map(|gid| {
                     let mut ctx = GroupCtx::new(
@@ -770,30 +718,7 @@ impl Device {
                     a.merge(&b);
                     a
                 }),
-            (ExecMode::Timing, TimingReplay::Parallel) => {
-                // Same two-phase schedule as `launch`, one capture per
-                // group (a group's waves already execute in a fixed order).
-                let captured: Vec<(WaveStats, Vec<(u64, bool)>)> = (0..cfg.groups)
-                    .into_par_iter()
-                    .map(|gid| {
-                        let mut misses = Vec::new();
-                        let mut ctx = GroupCtx::new(
-                            gid,
-                            cfg,
-                            width,
-                            self.arch.line_bytes,
-                            COALESCER_LINES,
-                            MemSink::Capture(&mut misses),
-                        );
-                        body(&mut ctx);
-                        let stats = ctx.stats;
-                        drop(ctx);
-                        (stats, misses)
-                    })
-                    .collect();
-                self.classify_captured(captured)
-            }
-            (ExecMode::Timing, TimingReplay::Sequential) => {
+            ExecMode::Timing => {
                 let mut l2 = self.l2.lock();
                 l2.reset_counters();
                 let mut total = WaveStats::default();
@@ -824,40 +749,6 @@ impl Device {
             self.reports.lock().push(report.clone());
         }
         report
-    }
-
-    /// Phase B of the parallel timing replay: push every captured line
-    /// through the shared L2 in wave/group order, settle each unit's
-    /// deferred `l2_hits`/`hbm_lines`, and merge the totals.
-    ///
-    /// Determinism: the flattened line sequence is exactly what the
-    /// sequential schedule would have issued (capture preserves intra-wave
-    /// order, waves are concatenated in index order), and
-    /// [`L2Model::replay`] is bit-identical to per-line `access_line` calls.
-    /// All other `WaveStats` fields are plain sums, so the merged report
-    /// cannot depend on the Phase-A execution schedule.
-    fn classify_captured(&self, captured: Vec<(WaveStats, Vec<(u64, bool)>)>) -> WaveStats {
-        let mut l2 = self.l2.lock();
-        l2.reset_counters();
-        let flat: Vec<u64> = captured
-            .iter()
-            .flat_map(|(_, misses)| misses.iter().map(|&(line, _)| line))
-            .collect();
-        let hit = l2.replay(&flat);
-        let mut total = WaveStats::default();
-        let mut i = 0;
-        for (mut stats, misses) in captured {
-            for &(_, is_read) in &misses {
-                if hit[i] {
-                    stats.l2_hits += 1;
-                } else if is_read {
-                    stats.hbm_lines += 1;
-                }
-                i += 1;
-            }
-            total.merge(&stats);
-        }
-        total
     }
 
     /// Convert raw counters into a rocprof-style report. `lds` carries
@@ -1138,61 +1029,6 @@ mod tests {
         let r = dev.launch(0, LaunchCfg::new("empty", 0), |_w| {});
         assert!((r.runtime_ms - dev.arch().launch_us / 1000.0).abs() < 1e-9);
         assert_eq!(r.stats.instructions, 0);
-    }
-
-    /// The default parallel timing replay must be bit-identical to the
-    /// sequential reference schedule: same counters, same modeled times,
-    /// same L2 residency carried into the next kernel.
-    #[test]
-    fn parallel_timing_replay_is_bit_identical_to_sequential() {
-        let run = |replay: TimingReplay| {
-            let mut dev = Device::new(ArchProfile::mi250x_gcd(), ExecMode::Timing, 1);
-            dev.set_timing_replay(replay);
-            let buf = dev.alloc_u32(1 << 16);
-            let aux = dev.alloc_u32(1 << 10);
-            // Kernel 1: strided gather (cold L2) + atomics.
-            dev.launch(0, LaunchCfg::new("gather", 1 << 14), |w| {
-                let idxs: Vec<usize> = w.lanes().map(|g| (g * 7) % (1 << 16)).collect();
-                let mut out = Vec::new();
-                w.vload32(&buf, &idxs, &mut out);
-                w.wave_add32(&aux, 0, 1);
-            });
-            // Kernel 2: re-reads a subset — L2 residency from kernel 1
-            // must carry over identically.
-            dev.launch(0, LaunchCfg::new("rescan", 1 << 13), |w| {
-                let idxs: Vec<usize> = w.lanes().map(|g| g * 2).collect();
-                let mut out = Vec::new();
-                w.vload32(&buf, &idxs, &mut out);
-            });
-            // Kernel 3: a workgroup launch with LDS staging.
-            dev.launch_groups(0, GroupCfg::new("grouped", 64), |g| {
-                for wv in 0..g.waves_per_group() {
-                    g.wave(wv, |w| {
-                        let idxs: Vec<usize> = w.lanes().map(|i| i % (1 << 16)).collect();
-                        let mut out = Vec::new();
-                        w.vload32(&buf, &idxs, &mut out);
-                    });
-                }
-                g.barrier();
-            });
-            (dev.take_reports(), dev.elapsed_us())
-        };
-        let (seq_reports, seq_us) = run(TimingReplay::Sequential);
-        let (par_reports, par_us) = run(TimingReplay::Parallel);
-        assert_eq!(seq_reports.len(), par_reports.len());
-        for (s, p) in seq_reports.iter().zip(&par_reports) {
-            assert_eq!(s.name, p.name);
-            assert_eq!(s.stats, p.stats, "kernel {} counters diverged", s.name);
-            assert_eq!(
-                s.runtime_ms.to_bits(),
-                p.runtime_ms.to_bits(),
-                "kernel {} modeled time diverged",
-                s.name
-            );
-            assert_eq!(s.l2_hit_pct.to_bits(), p.l2_hit_pct.to_bits());
-            assert_eq!(s.fetch_kb.to_bits(), p.fetch_kb.to_bits());
-        }
-        assert_eq!(seq_us.to_bits(), par_us.to_bits());
     }
 
     #[test]

@@ -22,12 +22,10 @@
 //! * a **compiler/register model** (clang vs hipcc vs no `-O3`, §IV-A)
 //!   feeding an occupancy-based issue model.
 //!
-//! Two fidelity levels ([`device::ExecMode`]): `Functional` runs waves in
-//! parallel on host cores for end-to-end GTEPS experiments; `Timing`
-//! replays waves through the shared L2 to regenerate the paper's profiler
-//! tables — by default via the two-phase parallel capture/replay schedule
-//! ([`device::TimingReplay`]), which is bit-identical to the sequential
-//! reference path.
+//! Two fidelity levels ([`device::ExecMode`]): `Functional` dispatches
+//! waves through rayon for end-to-end GTEPS experiments; `Timing` walks
+//! waves one at a time, in wave order, through the shared L2 to regenerate
+//! the paper's profiler tables.
 
 pub mod arch;
 pub mod buffer;
@@ -42,7 +40,7 @@ pub mod wave;
 
 pub use arch::{ArchProfile, Compiler, CompilerModel};
 pub use buffer::{BufU32, BufU64};
-pub use device::{Device, ExecMode, PoolGauges, TimingReplay};
+pub use device::{Device, ExecMode, PoolGauges};
 pub use group::{GroupCfg, GroupCtx};
 pub use kernel::{KernelReport, LaunchCfg, WaveStats};
 pub use pool::{fnv1a, fnv1a_mix, splitmix64, PoolError};

@@ -18,18 +18,15 @@ use crate::coalescer::Coalescer;
 use crate::kernel::WaveStats;
 use crate::l2::L2Model;
 
-/// Where a wave's coalescer misses go — the three classification regimes a
+/// Where a wave's coalescer misses go — the two classification regimes a
 /// launch can run under.
 pub(crate) enum MemSink<'a> {
     /// Functional mode: no shared L2 model; every read miss is charged as an
     /// HBM fetch (documented overestimate).
     Functional,
-    /// Sequential timing: classify each miss through the shared L2 the
-    /// moment it happens.
+    /// Timing mode: classify each miss through the shared L2 the moment it
+    /// happens.
     L2(&'a mut L2Model),
-    /// Parallel timing, phase A: record `(line, is_read)` in execution order
-    /// and defer L2 classification to a later in-order replay.
-    Capture(&'a mut Vec<(u64, bool)>),
 }
 
 impl MemSink<'_> {
@@ -39,7 +36,6 @@ impl MemSink<'_> {
         match self {
             MemSink::Functional => MemSink::Functional,
             MemSink::L2(l2) => MemSink::L2(l2),
-            MemSink::Capture(buf) => MemSink::Capture(buf),
         }
     }
 }
@@ -140,9 +136,6 @@ impl<'a> WaveCtx<'a> {
                         self.stats.hbm_lines += 1;
                     }
                 }
-                // `l2_hits`/`hbm_lines` are settled later by the in-order
-                // replay (`Device::classify_captured`).
-                MemSink::Capture(buf) => buf.push((line, is_read)),
             }
         }
         if !is_read {
@@ -532,29 +525,6 @@ mod tests {
         ctx.vload32(&buf, &idxs, &mut out);
         assert_eq!(ctx.stats.l2_hits, 64);
         assert_eq!(ctx.stats.hbm_lines, 0);
-    }
-
-    #[test]
-    fn capture_sink_records_misses_in_order_and_defers_classification() {
-        let buf = BufU32::new(0, 1024);
-        let mut co = Coalescer::new(4, 64); // tiny: everything spills
-        let mut misses = Vec::new();
-        let mut ctx = WaveCtx::new(0, 64, 1024, &mut co, MemSink::Capture(&mut misses));
-        let idxs: Vec<usize> = (0..32).map(|i| i * 16).collect(); // distinct lines
-        let mut out = Vec::new();
-        ctx.vload32(&buf, &idxs, &mut out);
-        ctx.vstore32(&buf, &[(512, 1)]);
-        assert_eq!(ctx.stats.l2_accesses, 33);
-        // Classification is deferred to the replay phase.
-        assert_eq!(ctx.stats.l2_hits, 0);
-        assert_eq!(ctx.stats.hbm_lines, 0);
-        drop(ctx);
-        assert_eq!(misses.len(), 33);
-        assert!(misses[..32].iter().all(|&(_, is_read)| is_read));
-        assert!(!misses[32].1, "store miss must be captured as a write");
-        // Lines appear in execution order.
-        let lines: Vec<u64> = misses[..4].iter().map(|&(l, _)| l).collect();
-        assert_eq!(lines, vec![0, 1, 2, 3]);
     }
 
     #[test]

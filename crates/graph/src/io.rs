@@ -3,7 +3,6 @@
 
 use crate::builder::{BuildOptions, CsrBuilder};
 use crate::csr::{Csr, VertexId};
-use bytes::{Buf, BufMut};
 use std::fs::File;
 use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::path::Path;
@@ -182,52 +181,77 @@ pub fn read_matrix_market<R: BufRead>(reader: R, opts: BuildOptions) -> io::Resu
 const BIN_MAGIC: u32 = 0x5842_4653; // "XBFS"
 const BIN_VERSION: u32 = 1;
 
-/// Serialize a CSR in the compact binary cache format.
+/// Serialize a CSR in the compact binary cache format: a 24-byte
+/// little-endian header (magic, version, vertex count, edge count), then
+/// `n + 1` `u64` offsets and `m` `u32` neighbor ids.
 pub fn write_binary<W: Write>(g: &Csr, mut w: W) -> io::Result<()> {
     let mut header = Vec::with_capacity(24);
-    header.put_u32_le(BIN_MAGIC);
-    header.put_u32_le(BIN_VERSION);
-    header.put_u64_le(g.num_vertices() as u64);
-    header.put_u64_le(g.num_edges() as u64);
+    header.extend_from_slice(&BIN_MAGIC.to_le_bytes());
+    header.extend_from_slice(&BIN_VERSION.to_le_bytes());
+    header.extend_from_slice(&(g.num_vertices() as u64).to_le_bytes());
+    header.extend_from_slice(&(g.num_edges() as u64).to_le_bytes());
     w.write_all(&header)?;
-    let mut buf = Vec::with_capacity(8 * g.offsets().len());
-    for &o in g.offsets() {
-        buf.put_u64_le(o);
-    }
+    let buf: Vec<u8> = g.offsets().iter().flat_map(|o| o.to_le_bytes()).collect();
     w.write_all(&buf)?;
-    buf.clear();
-    buf.reserve(4 * g.num_edges());
-    for &v in g.adjacency() {
-        buf.put_u32_le(v);
-    }
+    let buf: Vec<u8> = g.adjacency().iter().flat_map(|v| v.to_le_bytes()).collect();
     w.write_all(&buf)?;
     Ok(())
 }
 
+fn invalid(msg: &str) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, msg.to_string())
+}
+
+/// Read exactly `len` bytes of one section. Memory grows only with the
+/// bytes that actually arrive, so a header that claims a huge section
+/// costs nothing until the data is there.
+fn read_section<R: Read>(r: &mut R, len: u64, what: &str) -> io::Result<Vec<u8>> {
+    let mut raw = Vec::new();
+    r.take(len).read_to_end(&mut raw)?;
+    if raw.len() as u64 != len {
+        return Err(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            format!("truncated {what}: {} of {len} bytes", raw.len()),
+        ));
+    }
+    Ok(raw)
+}
+
 /// Deserialize a CSR from the binary cache format, validating all
-/// structural invariants.
+/// structural invariants. Header counts that overflow, or a vertex count
+/// beyond the [`VertexId`] range, are [`io::ErrorKind::InvalidData`]; a
+/// body shorter than the header claims is [`io::ErrorKind::UnexpectedEof`].
 pub fn read_binary<R: Read>(mut r: R) -> io::Result<Csr> {
     let mut header = [0u8; 24];
     r.read_exact(&mut header)?;
-    let mut h = &header[..];
-    if h.get_u32_le() != BIN_MAGIC {
-        return Err(io::Error::new(io::ErrorKind::InvalidData, "bad magic"));
+    let word = |at: usize| u32::from_le_bytes(header[at..at + 4].try_into().expect("4-byte field"));
+    let dword =
+        |at: usize| u64::from_le_bytes(header[at..at + 8].try_into().expect("8-byte field"));
+    if word(0) != BIN_MAGIC {
+        return Err(invalid("bad magic"));
     }
-    if h.get_u32_le() != BIN_VERSION {
-        return Err(io::Error::new(io::ErrorKind::InvalidData, "bad version"));
+    if word(4) != BIN_VERSION {
+        return Err(invalid("bad version"));
     }
-    let n = h.get_u64_le() as usize;
-    let m = h.get_u64_le() as usize;
-    let mut raw = vec![0u8; 8 * (n + 1)];
-    r.read_exact(&mut raw)?;
-    let mut buf = &raw[..];
-    let offsets: Vec<u64> = (0..=n).map(|_| buf.get_u64_le()).collect();
-    let mut raw = vec![0u8; 4 * m];
-    r.read_exact(&mut raw)?;
-    let mut buf = &raw[..];
-    let adjacency: Vec<VertexId> = (0..m).map(|_| buf.get_u32_le()).collect();
-    Csr::from_parts(offsets, adjacency)
-        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "corrupt CSR"))
+    let (n, m) = (dword(8), dword(16));
+    if n > u64::from(VertexId::MAX) {
+        return Err(invalid("vertex count exceeds the VertexId range"));
+    }
+    let offsets_len = (n + 1) * 8;
+    let adjacency_len = m
+        .checked_mul(4)
+        .ok_or_else(|| invalid("edge count overflows"))?;
+    let raw = read_section(&mut r, offsets_len, "offsets")?;
+    let offsets: Vec<u64> = raw
+        .chunks_exact(8)
+        .map(|c| u64::from_le_bytes(c.try_into().expect("8-byte chunk")))
+        .collect();
+    let raw = read_section(&mut r, adjacency_len, "adjacency")?;
+    let adjacency: Vec<VertexId> = raw
+        .chunks_exact(4)
+        .map(|c| u32::from_le_bytes(c.try_into().expect("4-byte chunk")))
+        .collect();
+    Csr::from_parts(offsets, adjacency).ok_or_else(|| invalid("corrupt CSR"))
 }
 
 /// Write the binary format to a file.
@@ -294,6 +318,46 @@ mod tests {
         let last = buf2.len() - 1;
         buf2.truncate(last); // truncate payload
         assert!(read_binary(Cursor::new(&buf2)).is_err());
+    }
+
+    fn header(n: u64, m: u64) -> Vec<u8> {
+        let mut h = Vec::new();
+        h.extend_from_slice(&BIN_MAGIC.to_le_bytes());
+        h.extend_from_slice(&BIN_VERSION.to_le_bytes());
+        h.extend_from_slice(&n.to_le_bytes());
+        h.extend_from_slice(&m.to_le_bytes());
+        h
+    }
+
+    #[test]
+    fn binary_truncated_body_is_unexpected_eof() {
+        let g = erdos_renyi(50, 100, 3);
+        let mut buf = Vec::new();
+        write_binary(&g, &mut buf).unwrap();
+        for cut in [24, 30, 24 + 8 * 51, buf.len() - 1] {
+            let err = read_binary(Cursor::new(&buf[..cut])).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof, "cut at {cut}");
+        }
+    }
+
+    #[test]
+    fn binary_rejects_huge_vertex_count_without_allocating() {
+        for n in [u64::MAX, u64::from(VertexId::MAX) + 1] {
+            let err = read_binary(Cursor::new(header(n, 0))).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "n = {n}");
+        }
+        // In range but absent: the reader fails on the missing bytes
+        // instead of reserving 8·(n+1) of them up front.
+        let err = read_binary(Cursor::new(header(u64::from(VertexId::MAX), 0))).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+    }
+
+    #[test]
+    fn binary_rejects_overflowing_edge_count() {
+        let mut buf = header(1, u64::MAX / 2);
+        buf.extend_from_slice(&[0u8; 16]);
+        let err = read_binary(Cursor::new(buf)).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //!
 //! # Fault tolerance
 //!
-//! [`GcdCluster::run_with_faults`] executes under a [`FaultConfig`]: the
+//! [`GcdCluster::run_governed`] executes under a [`FaultConfig`]: the
 //! collectives retry dropped messages with exponential backoff (charging
 //! retransmitted bytes and backoff waits to the cost model), bandwidth-
 //! degradation windows slow every link, and GCD crashes are recovered by
@@ -38,7 +38,6 @@ use crate::faults::{
 use crate::interconnect::LinkModel;
 use crate::partition::Partition;
 use gcd_sim::{ArchProfile, BufU32, BufU64, Device, ExecMode, LaunchCfg, WaveCtx};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use xbfs_graph::{Csr, VertexId};
 use xbfs_telemetry::{names, AttrValue, Recorder, SpanId};
@@ -50,7 +49,7 @@ pub const UNVISITED: u32 = u32::MAX;
 const BUCKET_SLACK: usize = 4;
 
 /// Configuration of a distributed run.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct ClusterConfig {
     /// Number of GCDs.
     pub num_gcds: usize,
@@ -72,7 +71,7 @@ impl ClusterConfig {
 }
 
 /// What one level did.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ClusterLevelStats {
     /// Level this row describes.
     pub level: u32,
@@ -107,7 +106,7 @@ pub struct ClusterLevelStats {
 }
 
 /// One crash recovery performed during a run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RecoveryReport {
     /// Level at which the crash was detected.
     pub detected_level: u32,
@@ -128,7 +127,7 @@ pub struct RecoveryReport {
 /// rank; the vector keeps its initial length even after a graceful-
 /// degradation recovery shrinks the cluster, so rank rows stay stable
 /// across a serving session.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RankHealth {
     /// Injected GCD crashes observed on this rank.
     pub crashes: u64,
@@ -506,48 +505,32 @@ impl<'g> GcdCluster<'g> {
 
     /// Run one fault-free distributed BFS from `source`.
     pub fn run(&mut self, source: VertexId) -> Result<ClusterRun, ClusterError> {
-        self.run_with_faults(source, &FaultConfig::none())
+        self.run_governed(source, &FaultConfig::none(), &Recorder::disabled(), None)
     }
 
-    /// Run one distributed BFS from `source` under a fault schedule.
+    /// Run one distributed BFS from `source` under a fault schedule, a
+    /// telemetry recorder and an optional modeled-time budget.
     ///
     /// Collectives retry dropped messages per `faults.retry`; GCD crashes
     /// are recovered per `faults.recovery` from the last checkpoint (the
     /// initial state always counts as one). After a
     /// [`RecoveryPolicy::Degrade`] recovery, the cluster permanently runs
     /// with one GCD fewer.
-    pub fn run_with_faults(
-        &mut self,
-        source: VertexId,
-        faults: &FaultConfig,
-    ) -> Result<ClusterRun, ClusterError> {
-        self.run_with_faults_traced(source, faults, &Recorder::disabled())
-    }
-
-    /// Like [`GcdCluster::run_with_faults`], but records structured
-    /// telemetry into `rec`: a `run > level > collective` span tree on the
-    /// modeled cluster timeline (max over GCD clocks), plus checkpoint and
-    /// recovery spans, fault events, and byte/retry counter series. With a
-    /// disabled recorder every telemetry call is one relaxed atomic load.
-    pub fn run_with_faults_traced(
-        &mut self,
-        source: VertexId,
-        faults: &FaultConfig,
-        rec: &Recorder,
-    ) -> Result<ClusterRun, ClusterError> {
-        self.run_governed(source, faults, rec, None)
-    }
-
-    /// Like [`GcdCluster::run_with_faults_traced`], but under an
-    /// optional modeled-time budget (`deadline_ms`): the fleet clock is
-    /// checked between levels — and immediately after a crash recovery
-    /// is charged — and a run that crosses the budget aborts with
-    /// [`ClusterError::DeadlineExceeded`] instead of finishing. A run
-    /// that completes on its last level is never a timeout. Recovery
-    /// overhead counts against the budget, which is what lets a serving
-    /// layer promise "recovered within the request's remaining
-    /// deadline". The cluster state stays reusable after an abort: the
-    /// next run's init re-uploads status arrays and resets timelines.
+    ///
+    /// `rec` records a `run > level > collective` span tree on the modeled
+    /// cluster timeline (max over GCD clocks), plus checkpoint and recovery
+    /// spans, fault events, and byte/retry counter series. With a disabled
+    /// recorder every telemetry call is one relaxed atomic load.
+    ///
+    /// Under `deadline_ms` the fleet clock is checked between levels — and
+    /// immediately after a crash recovery is charged — and a run that
+    /// crosses the budget aborts with [`ClusterError::DeadlineExceeded`]
+    /// instead of finishing. A run that completes on its last level is
+    /// never a timeout. Recovery overhead counts against the budget, which
+    /// is what lets a serving layer promise "recovered within the request's
+    /// remaining deadline". The cluster state stays reusable after an
+    /// abort: the next run's init re-uploads status arrays and resets
+    /// timelines.
     pub fn run_governed(
         &mut self,
         source: VertexId,
@@ -1769,7 +1752,9 @@ mod tests {
         let clean = check(&g, cfg, 1);
         let mut cluster = GcdCluster::new(&g, cfg, LinkModel::frontier()).unwrap();
         let faults = fault_cfg("crash@2:rank1", RecoveryPolicy::PromoteSpare, 1);
-        let run = cluster.run_with_faults(1, &faults).unwrap();
+        let run = cluster
+            .run_governed(1, &faults, &Recorder::disabled(), None)
+            .unwrap();
         assert_eq!(run.levels, clean.levels, "recovered levels must match");
         validate_bfs_levels(&g, 1, &run.levels).expect("Graph500 level validation");
         assert_eq!(run.recoveries.len(), 1);
@@ -1795,7 +1780,9 @@ mod tests {
         let mut cluster = GcdCluster::new(&g, cfg, LinkModel::frontier()).unwrap();
         // Checkpoint every 3 levels: a crash at level 2 rewinds to level 0.
         let faults = fault_cfg("crash@2:rank0", RecoveryPolicy::Degrade, 3);
-        let run = cluster.run_with_faults(src, &faults).unwrap();
+        let run = cluster
+            .run_governed(src, &faults, &Recorder::disabled(), None)
+            .unwrap();
         assert_eq!(run.levels, clean.levels);
         validate_bfs_levels(&g, src, &run.levels).expect("Graph500 level validation");
         assert_eq!(run.recoveries[0].gcds_after, 3);
@@ -1824,7 +1811,7 @@ mod tests {
         let mut cluster = GcdCluster::new(&g, cfg, LinkModel::frontier()).unwrap();
         let faults = fault_cfg("crash@1:rank0", RecoveryPolicy::Degrade, 1);
         assert!(matches!(
-            cluster.run_with_faults(0, &faults),
+            cluster.run_governed(0, &faults, &Recorder::disabled(), None),
             Err(ClusterError::Unrecoverable { rank: 0, .. })
         ));
     }
@@ -1843,7 +1830,9 @@ mod tests {
             RecoveryPolicy::PromoteSpare,
             0,
         );
-        let run = cluster.run_with_faults(0, &faults).unwrap();
+        let run = cluster
+            .run_governed(0, &faults, &Recorder::disabled(), None)
+            .unwrap();
         assert_eq!(run.levels, clean.levels);
         let l0 = &run.level_stats[0];
         assert!(l0.retransmitted_bytes > 0, "drops must retransmit");
@@ -1861,7 +1850,7 @@ mod tests {
         let mut cluster = GcdCluster::new(&g, cfg, LinkModel::frontier()).unwrap();
         let faults = fault_cfg("drop@0:0-1x9", RecoveryPolicy::PromoteSpare, 0);
         assert!(matches!(
-            cluster.run_with_faults(5, &faults),
+            cluster.run_governed(5, &faults, &Recorder::disabled(), None),
             Err(ClusterError::LinkFailed { src: 0, dst: 1, .. })
         ));
     }
@@ -1878,7 +1867,9 @@ mod tests {
         let mut cluster = GcdCluster::new(&g, cfg, LinkModel::frontier()).unwrap();
         // A plan with a (never-firing) late crash keeps fault mode on.
         let faults = fault_cfg("crash@99:rank0", RecoveryPolicy::PromoteSpare, 2);
-        let run = cluster.run_with_faults(src, &faults).unwrap();
+        let run = cluster
+            .run_governed(src, &faults, &Recorder::disabled(), None)
+            .unwrap();
         assert_eq!(run.levels, clean.levels);
         assert!(run.recoveries.is_empty());
         let flagged: Vec<u32> = run
@@ -1977,7 +1968,9 @@ mod tests {
             RecoveryPolicy::PromoteSpare,
             1,
         );
-        cluster.run_with_faults(1, &faults).unwrap();
+        cluster
+            .run_governed(1, &faults, &Recorder::disabled(), None)
+            .unwrap();
         let health = cluster.take_health();
         assert_eq!(health.len(), 4);
         assert_eq!(health[1].crashes, 1, "crash lands on the victim rank");
@@ -2024,7 +2017,9 @@ mod tests {
         // not the (recovery-inflated) timeline.
         let faults = fault_cfg("crash@1:rank0", RecoveryPolicy::PromoteSpare, 1);
         let mut cluster = GcdCluster::new(&g, cfg, LinkModel::frontier()).unwrap();
-        let healed = cluster.run_with_faults(1, &faults).unwrap();
+        let healed = cluster
+            .run_governed(1, &faults, &Recorder::disabled(), None)
+            .unwrap();
         assert!(healed.total_ms > clean.total_ms);
         assert_eq!(healed.result_digest(), single.result_digest());
     }
@@ -2041,7 +2036,9 @@ mod tests {
             plan: FaultPlan::parse("seed=9,drop@0:0-1x1").unwrap(),
             ..FaultConfig::default()
         };
-        let run = cluster.run_with_faults(3, &faults).unwrap();
+        let run = cluster
+            .run_governed(3, &faults, &Recorder::disabled(), None)
+            .unwrap();
         assert_eq!(run.seed, 9);
         assert_eq!(run.fault_plan, faults.plan);
         let json = run.to_json();
@@ -2054,12 +2051,14 @@ mod tests {
         // The recorded plan reproduces the run exactly.
         let mut again = GcdCluster::new(&g, run.config, LinkModel::frontier()).unwrap();
         let rerun = again
-            .run_with_faults(
+            .run_governed(
                 run.source,
                 &FaultConfig {
                     plan: FaultPlan::parse(&run.fault_plan.to_spec()).unwrap(),
                     ..FaultConfig::default()
                 },
+                &Recorder::disabled(),
+                None,
             )
             .unwrap();
         assert_eq!(rerun.levels, run.levels);

@@ -6,10 +6,8 @@
 //! distinguishes intra-node and inter-node transfers and charges per-message
 //! latency plus bandwidth-limited transfer time.
 
-use serde::{Deserialize, Serialize};
-
 /// Bandwidth/latency description of the cluster fabric.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LinkModel {
     /// GCDs per node (Frontier: 8).
     pub gcds_per_node: usize,

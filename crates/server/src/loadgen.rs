@@ -268,17 +268,13 @@ pub fn run_loadgen(cfg: &LoadgenConfig) -> std::io::Result<LoadgenReport> {
             samples
         })
     };
-    let stop_printer = Arc::new(AtomicBool::new(false));
+    // Dropping `stop_printer` wakes the printer at once, mid-interval.
+    let (stop_printer, stopped) = mpsc::channel::<()>();
     let printer = (cfg.progress_every_ms > 0).then(|| {
         let prog = Arc::clone(&progress);
-        let stop = Arc::clone(&stop_printer);
         let every = Duration::from_millis(cfg.progress_every_ms.max(1));
         std::thread::spawn(move || {
-            while !stop.load(Ordering::Relaxed) {
-                std::thread::sleep(every);
-                if stop.load(Ordering::Relaxed) {
-                    break;
-                }
+            while let Err(mpsc::RecvTimeoutError::Timeout) = stopped.recv_timeout(every) {
                 eprintln!("{}", prog.line());
             }
         })
@@ -308,11 +304,8 @@ pub fn run_loadgen(cfg: &LoadgenConfig) -> std::io::Result<LoadgenReport> {
     // Every sender is gone, so the collector's channel closes and it
     // returns the full sample set.
     let samples = collector.join().unwrap_or_default();
-    // The run ends when the last response lands — clock it before the
-    // printer teardown, whose sleep granularity would otherwise round
-    // elapsed (and every rate derived from it) up to a whole tick.
     let elapsed_ms = start.elapsed().as_secs_f64() * 1000.0;
-    stop_printer.store(true, Ordering::Relaxed);
+    drop(stop_printer);
     if let Some(p) = printer {
         let _ = p.join();
         eprintln!("{} (final)", progress.line());

@@ -32,7 +32,7 @@ use std::sync::{mpsc, Arc};
 use std::time::Instant;
 
 use gcd_sim::Device;
-use xbfs_core::{BitflipPlan, MsBfs, Sabotage, Xbfs, XbfsError, MAX_CONCURRENT};
+use xbfs_core::{BitflipPlan, MsBfs, RunOpts, Sabotage, Xbfs, XbfsError, MAX_CONCURRENT};
 use xbfs_graph::Csr;
 use xbfs_multi_gcd::{ClusterConfig, ClusterError, FaultConfig, FaultPlan, GcdCluster, LinkModel};
 use xbfs_telemetry::{names, AttrValue};
@@ -399,13 +399,13 @@ impl Attempt<'_> {
             let sab = (self.act == ChaosAction::Bitflip)
                 .then(|| flip_plan.map(|plan| Sabotage { plan, salt }))
                 .flatten();
-            let (run, cert) = eng.run_governed(
-                self.job.req.source,
-                &xbfs_telemetry::Recorder::disabled(),
-                sab.as_ref(),
-                self.grant.run_budget_ms,
-                self.grant.verify,
-            )?;
+            let opts = RunOpts {
+                sabotage: sab.as_ref(),
+                deadline_ms: self.grant.run_budget_ms,
+                certify: self.grant.verify,
+                ..RunOpts::default()
+            };
+            let (run, cert) = eng.run_governed(self.job.req.source, &opts)?;
             let (id, attempts, certified) = (self.job.req.id, self.attempt + 1, cert.is_some());
             let line = protocol::ok_line(id, &run, certified, self.wait_ms, attempts);
             Ok(line)

@@ -1,9 +1,7 @@
 //! A minimal, std-only JSON reader/writer.
 //!
-//! The vendored `serde` in this workspace is a compile-only marker
-//! stand-in (no real serialization machinery), so trace validation and
-//! `xbfs trace summarize` parse JSON here instead. The grammar is full
-//! RFC 8259 minus `\u` surrogate-pair pedantry (lone surrogates are
+//! Trace validation and `xbfs trace summarize` parse JSON here. The
+//! grammar is full RFC 8259 minus `\u` surrogate-pair pedantry (lone surrogates are
 //! replaced, not rejected).
 
 /// A parsed JSON value.

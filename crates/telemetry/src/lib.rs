@@ -19,8 +19,7 @@
 //!   JSON (`xbfs-trace-v1`, the `BENCH_*.json` feed), chrome://tracing /
 //!   Perfetto `trace.json`, and a rocprofiler-style kernel CSV.
 //! * **JSON** ([`json`]) — a minimal std-only JSON parser used to validate
-//!   and summarize traces (the vendored `serde` is a marker stand-in, so
-//!   parsing is done here).
+//!   and summarize traces.
 //!
 //! The disabled recorder ([`Recorder::disabled`]) is a no-op sink: every
 //! recording call is a single relaxed atomic load, which keeps untraced

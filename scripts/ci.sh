@@ -13,6 +13,9 @@ cargo test -q --workspace --no-fail-fast
 echo "==> cargo clippy -D warnings -W clippy::perf"
 cargo clippy --workspace --all-targets -- -D warnings -W clippy::perf
 
+echo "==> benchmark build + tests (its own workspace, built against the engine API)"
+cargo test --release --offline --manifest-path benchmark/Cargo.toml
+
 echo "==> cargo fmt --check"
 cargo fmt --all --check || echo "(fmt differences are advisory, not a gate)"
 

@@ -6,7 +6,11 @@
 # every digest stays consistent across the crash boundary.
 #
 # Usage: scripts/killer.sh [GRAPH.bin]
-#   REQUESTS=400 RPS=300 KILL_AFTER=0.6 KILLS=1 scripts/killer.sh
+#   REQUESTS=400 RPS=300 KILLS=1 scripts/killer.sh
+#
+# Each SIGKILL fires on observed progress, not after a fixed sleep: kill K
+# waits until the loadgen's progress line shows K/(KILLS+3) of REQUESTS
+# answered (a quarter for the single default kill), and fewer than all.
 #
 # Exits nonzero if any request is lost, any digest diverges, the restarted
 # server replays nothing, or the final drain is not clean.
@@ -18,7 +22,6 @@ XBFS=${XBFS:-target/release/xbfs}
 # backed up when the SIGKILL lands — that backlog is what replay recovers.
 REQUESTS=${REQUESTS:-600}
 RPS=${RPS:-2000}
-KILL_AFTER=${KILL_AFTER:-0.6}   # seconds of live load before each SIGKILL
 KILLS=${KILLS:-1}               # crash/restart cycles within one load run
 FSYNC=${FSYNC:-batch=8}
 
@@ -76,13 +79,26 @@ wait_port || { echo "killer: server never came up" >&2; exit 1; }
 
 "$XBFS" loadgen --addr "127.0.0.1:$PORT" --requests "$REQUESTS" \
   --rps "$RPS" --connections 4 --sources 8 --retries 8 \
-  --json "$WORK/loadgen.json" > "$WORK/loadgen.out" 2>&1 &
+  --progress-every-ms 20 --json "$WORK/loadgen.json" > "$WORK/loadgen.out" 2>&1 &
 LOAD_PID=$!
 
+answered() { # the "ok N" count of the loadgen's latest progress line
+  local OK
+  OK=$(grep -o ' ok [0-9]*' "$WORK/loadgen.out" | tail -1 | grep -o '[0-9]*$' || true)
+  echo "${OK:-0}"
+}
+
 for K in $(seq 1 "$KILLS"); do
-  sleep "$KILL_AFTER"
-  kill -0 "$LOAD_PID" 2>/dev/null \
-    || { echo "killer: load finished before kill $K — raise REQUESTS or lower KILL_AFTER" >&2; exit 1; }
+  FLOOR=$((K * REQUESTS / (KILLS + 3)))
+  until [ "$(answered)" -ge "$FLOOR" ]; do
+    kill -0 "$LOAD_PID" 2>/dev/null \
+      || { echo "killer: load finished before kill $K" >&2; exit 1; }
+    sleep 0.01
+  done
+  ANSWERED=$(answered)
+  test "$ANSWERED" -lt "$REQUESTS" && kill -0 "$LOAD_PID" 2>/dev/null \
+    || { echo "killer: every request answered before kill $K — raise REQUESTS" >&2; exit 1; }
+  echo "killer: $ANSWERED of $REQUESTS answered"
   echo "killer: SIGKILL incarnation $((K - 1)) (pid $SERVE_PID) under live load"
   kill -9 "$SERVE_PID"
   wait "$SERVE_PID" 2>/dev/null || true

@@ -3,7 +3,7 @@
 //! fault-free runs are bit-identical to the unverified hot path.
 
 use gcd_sim::Device;
-use xbfs_core::{BfsRun, BitflipPlan, Sabotage, Xbfs, XbfsConfig, XbfsError};
+use xbfs_core::{BfsRun, BitflipPlan, RunOpts, Sabotage, Xbfs, XbfsConfig, XbfsError};
 use xbfs_graph::Dataset;
 
 const SHIFT: u32 = 10;
@@ -66,7 +66,12 @@ fn injected_bitflips_detected_for_64_seeds() {
             salt: 0,
         };
         let source = (seed % 16) as u32;
-        let got = xbfs.run_verified(source, &xbfs_telemetry::Recorder::disabled(), Some(&sab));
+        let opts = RunOpts {
+            sabotage: Some(&sab),
+            certify: true,
+            ..RunOpts::default()
+        };
+        let got = xbfs.run_governed(source, &opts);
         match got {
             Err(XbfsError::Integrity(_)) => {}
             other => panic!(
@@ -141,9 +146,12 @@ fn parked_buffer_corruption_is_caught_by_the_pool_sweep() {
         plan: &plan,
         salt: 1,
     };
-    let err = xbfs
-        .run_verified(2, &xbfs_telemetry::Recorder::disabled(), Some(&sab))
-        .unwrap_err();
+    let opts = RunOpts {
+        sabotage: Some(&sab),
+        certify: true,
+        ..RunOpts::default()
+    };
+    let err = xbfs.run_governed(2, &opts).unwrap_err();
     assert!(
         matches!(
             &err,

@@ -4,7 +4,7 @@
 //! run with a disabled recorder are bit-identical.
 
 use gcd_sim::Device;
-use xbfs_core::{Xbfs, XbfsConfig};
+use xbfs_core::{RunOpts, Xbfs, XbfsConfig};
 use xbfs_graph::generators::{rmat_graph, RmatParams};
 use xbfs_multi_gcd::{ClusterConfig, FaultConfig, FaultPlan, GcdCluster, LinkModel};
 use xbfs_telemetry::{names, AttrValue, Recorder};
@@ -24,7 +24,11 @@ fn traced_single_gcd_run_covers_every_level_and_matches_untraced() {
     let dev2 = Device::mi250x();
     let xbfs2 = Xbfs::new(&dev2, &g, XbfsConfig::default()).unwrap();
     let rec = Recorder::new();
-    let traced = xbfs2.run_traced(0, &rec).unwrap();
+    let opts = RunOpts {
+        recorder: Some(&rec),
+        ..RunOpts::default()
+    };
+    let (traced, _) = xbfs2.run_governed(0, &opts).unwrap();
 
     // Instrumentation must not perturb the modeled run.
     assert_eq!(plain.levels, traced.levels);
@@ -75,7 +79,11 @@ fn disabled_recorder_records_nothing_and_changes_nothing() {
     let dev2 = Device::mi250x();
     let xbfs2 = Xbfs::new(&dev2, &g, XbfsConfig::default()).unwrap();
     let off = Recorder::disabled();
-    let run = xbfs2.run_traced(3, &off).unwrap();
+    let opts = RunOpts {
+        recorder: Some(&off),
+        ..RunOpts::default()
+    };
+    let (run, _) = xbfs2.run_governed(3, &opts).unwrap();
 
     assert_eq!(plain.levels, run.levels);
     assert!((plain.total_ms - run.total_ms).abs() < 1e-12);
@@ -100,11 +108,13 @@ fn traced_faulted_cluster_run_records_recovery_and_matches_untraced() {
     };
 
     let mut plain_cluster = GcdCluster::new(&g, cfg, LinkModel::frontier()).unwrap();
-    let plain = plain_cluster.run_with_faults(0, &faults).unwrap();
+    let plain = plain_cluster
+        .run_governed(0, &faults, &Recorder::disabled(), None)
+        .unwrap();
 
     let mut cluster = GcdCluster::new(&g, cfg, LinkModel::frontier()).unwrap();
     let rec = Recorder::new();
-    let run = cluster.run_with_faults_traced(0, &faults, &rec).unwrap();
+    let run = cluster.run_governed(0, &faults, &rec, None).unwrap();
 
     assert_eq!(plain.levels, run.levels);
     assert!((plain.total_ms - run.total_ms).abs() < 1e-12);

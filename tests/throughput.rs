@@ -1,9 +1,8 @@
 //! Throughput-engine guarantees: pooled, epoch-reset run state must be
-//! bit-identical to freshly allocated state; the parallel timing replay
-//! must match the sequential reference; and the steady state must not
+//! bit-identical to freshly allocated state, and the steady state must not
 //! grow host scratch.
 
-use gcd_sim::{ArchProfile, Device, ExecMode, TimingReplay};
+use gcd_sim::{ArchProfile, Device, ExecMode};
 use xbfs_core::{BfsRun, Xbfs, XbfsConfig};
 use xbfs_graph::stats::pick_sources;
 use xbfs_graph::Dataset;
@@ -62,27 +61,6 @@ fn pooled_epoch_runs_match_fresh_state_runs() {
         assert_eq!(
             fingerprint(&recycled),
             fingerprint(&reference),
-            "source {s}"
-        );
-    }
-}
-
-/// The default two-phase parallel wave replay must be indistinguishable
-/// from the sequential reference schedule at the whole-BFS level.
-#[test]
-fn parallel_timing_replay_matches_sequential() {
-    let g = Dataset::Orkut.generate(SHIFT, 5);
-    let cfg = XbfsConfig::default();
-    let mut dev_seq = timing_device(&cfg);
-    dev_seq.set_timing_replay(TimingReplay::Sequential);
-    let mut dev_par = timing_device(&cfg);
-    dev_par.set_timing_replay(TimingReplay::Parallel);
-    let seq = Xbfs::new(&dev_seq, &g, cfg).unwrap();
-    let par = Xbfs::new(&dev_par, &g, cfg).unwrap();
-    for &s in &pick_sources(&g, 8, 23) {
-        assert_eq!(
-            fingerprint(&seq.run(s).unwrap()),
-            fingerprint(&par.run(s).unwrap()),
             "source {s}"
         );
     }
