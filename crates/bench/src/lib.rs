@@ -1,12 +1,10 @@
 //! Experiment harness regenerating every table and figure of the paper's
 //! evaluation (see DESIGN.md §5 for the experiment index).
 //!
-//! Two entry points:
-//!
-//! * the `repro` binary — `cargo run --release -p xbfs-bench --bin repro
-//!   [--smoke] [experiment…]` — prints paper-shaped tables;
-//! * the Criterion benches under `benches/` — wall-clock measurements of
-//!   the same code paths.
+//! The entry point is the `repro` binary — `cargo run --release -p
+//! xbfs-bench --bin repro [--smoke] [experiment…]` — which prints
+//! paper-shaped tables. Host wall-clock measurements of the same layers
+//! live in the standalone `benchmark/` package.
 
 pub mod common;
 pub mod extras;

@@ -2,6 +2,22 @@
 
 use std::collections::HashMap;
 
+/// Options that never take a value. A bare flag does not consume the next
+/// token (`--verify g.bin` is the flag plus a positional), and
+/// `--verify=no` is a usage error rather than a silent "on".
+const BARE_FLAGS: [&str; 10] = [
+    "verify",
+    "validate",
+    "timing",
+    "rearrange",
+    "auto-alpha",
+    "push-only",
+    "allow-chaos",
+    "multi-source",
+    "shutdown",
+    "no-reconnect",
+];
+
 /// Parsed command line: a subcommand, positional args, and
 /// `--key value` / `--flag` options.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
@@ -27,8 +43,13 @@ impl Args {
                 }
                 // `--key=value`, `--key value`, or bare `--flag`.
                 if let Some((k, v)) = key.split_once('=') {
+                    if BARE_FLAGS.contains(&k) {
+                        return Err(format!("--{k} is a flag and takes no value (got {v:?})"));
+                    }
                     out.options.insert(k.to_string(), v.to_string());
-                } else if it.peek().is_some_and(|n| !n.starts_with("--")) {
+                } else if !BARE_FLAGS.contains(&key)
+                    && it.peek().is_some_and(|n| !n.starts_with("--"))
+                {
                     out.options.insert(key.to_string(), it.next().unwrap());
                 } else {
                     out.options.insert(key.to_string(), String::new());
@@ -98,6 +119,25 @@ mod tests {
         assert!(parse(&["x", "--scale", "abc"])
             .get::<u32>("scale", 1)
             .is_err());
+    }
+
+    #[test]
+    fn bare_flag_never_eats_the_next_argument() {
+        let a = parse(&["bfs", "--verify", "g.bin", "--timing", "--source", "3"]);
+        assert!(a.flag("verify") && a.flag("timing"));
+        assert_eq!(a.positional, vec!["g.bin"]);
+        assert_eq!(a.get::<u32>("source", 0).unwrap(), 3);
+        // A value-taking option still takes the next token.
+        assert_eq!(parse(&["x", "--out", "f.bin"]).require("out"), Ok("f.bin"));
+    }
+
+    #[test]
+    fn bare_flag_with_a_value_is_a_usage_error() {
+        for bad in ["--verify=no", "--shutdown=1", "--multi-source="] {
+            let err = Args::parse(["sweep", bad].map(String::from)).unwrap_err();
+            assert!(err.contains("takes no value"), "{bad}: {err}");
+        }
+        assert!(Args::parse(["bfs", "--source=4"].map(String::from)).is_ok());
     }
 
     #[test]

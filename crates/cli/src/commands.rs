@@ -4,7 +4,11 @@
 use crate::args::Args;
 use gcd_sim::{ArchProfile, Compiler, Device, ExecMode};
 use std::path::Path;
-use xbfs_core::{ms_bfs, BitflipPlan, RunOpts, Sabotage, Strategy, Xbfs, XbfsConfig, XbfsError};
+use std::sync::Arc;
+use xbfs_core::{
+    ms_bfs, BitflipPlan, Fault, GaveUp, RunOpts, Sabotage, Strategy, Supervisor, Xbfs, XbfsConfig,
+    XbfsError,
+};
 use xbfs_graph::builder::BuildOptions;
 use xbfs_graph::generators::{rmat_graph, RmatParams};
 use xbfs_graph::stats::{level_profile, pick_sources, summarize};
@@ -296,11 +300,11 @@ COMMANDS
             and verifies the two passes produce bit-identical results.
             --verify turns the sweep into a self-healing supervisor: every
             run is certified, runs failing certification are quarantined
-            and re-executed on a fresh engine (non-pooled state) with
-            bounded retries (--retries, default 2) and backoff, runs
-            exceeding --deadline-factor (default 25) x the first run's
-            modeled time are flagged, and a health section lands in the
-            report and JSON. --inject-bitflips (implies --verify) corrupts
+            and re-executed at once on a fresh engine (non-pooled state)
+            with bounded retries (--retries, default 2), runs exceeding
+            --deadline-factor (default 25) x the first run's modeled time
+            are flagged, and a health section lands in the report and
+            JSON. --inject-bitflips (implies --verify) corrupts
             device state per run; --max-pool-bytes caps parked pool memory
             with LRU trimming (pressure events counted in health).
             --multi-source adds a third pass: one persistent 64-wide
@@ -952,23 +956,18 @@ struct SweepRec {
     digest: u64,
 }
 
-/// Aggregated supervisor health for one sweep: every detection,
-/// quarantine, re-execution and resource-pressure event, summed across
-/// workers. Lands in the report text and the `xbfs-sweep-v1` JSON.
+/// Aggregated supervisor health for one sweep, summed across workers.
+/// Lands in the report text and the `xbfs-sweep-v1` JSON. Only these five
+/// facts are counted; the report derives the rest (see [`SweepHealth::derived`]).
 #[derive(Default)]
 struct SweepHealth {
     certified: u64,
+    /// Faulted attempts: failed certifications (and any contained panic).
     sdc_detected: u64,
+    /// Sources whose first attempt faulted.
     quarantined: u64,
-    reexecuted: u64,
-    corrected: u64,
-    // An exhausted-retries abort fails the whole sweep (exit 7), so any
-    // report that gets emitted shows 0 here; the field documents the
-    // schema for consumers.
-    aborted: u64,
     deadline_exceeded: u64,
     pool_pressure_events: u64,
-    engine_rebuilds: u64,
 }
 
 impl SweepHealth {
@@ -976,196 +975,155 @@ impl SweepHealth {
         self.certified += o.certified;
         self.sdc_detected += o.sdc_detected;
         self.quarantined += o.quarantined;
-        self.reexecuted += o.reexecuted;
-        self.corrected += o.corrected;
-        self.aborted += o.aborted;
         self.deadline_exceeded += o.deadline_exceeded;
         self.pool_pressure_events += o.pool_pressure_events;
-        self.engine_rebuilds += o.engine_rebuilds;
+    }
+
+    /// `(reexecuted, corrected, aborted, engine_rebuilds)`. Every fault
+    /// discards the engine and re-executes on a rebuilt one, or exhausts
+    /// the retries and fails the whole sweep before any report exists; so
+    /// in every emitted report each quarantined source was corrected and
+    /// nothing was aborted.
+    fn derived(&self) -> (u64, u64, u64, u64) {
+        (self.sdc_detected, self.quarantined, 0, self.sdc_detected)
     }
 }
 
-/// Why a sweep worker ended an engine generation early: the run that
-/// failed certification, and the retry budget that applies to it.
-struct IntegrityFailure {
-    source: u32,
+/// What every sweep worker shares.
+struct SweepCtx<'a> {
+    args: &'a Args,
+    g: &'a Csr,
+    cfg: XbfsConfig,
+    plan: Option<&'a BitflipPlan>,
+    /// `Some(deadline factor)` when every run is certified: the factor
+    /// times the first run's modeled time is the worker's deadline.
+    certify: Option<f64>,
     retries: u32,
-    error: xbfs_core::IntegrityError,
+    max_pool_bytes: Option<u64>,
+    rec: &'a Recorder,
+    t0: std::time::Instant,
 }
 
-/// One sweep worker: its chunk of sources on a pooled engine. With
-/// supervision (`sup`) every run is certified; a run failing certification
-/// is quarantined, the engine *and its device* are discarded (a corrupted
-/// CSR or parked buffer must not outlive detection — re-parking it would
-/// checksum the corrupted contents), and the run re-executes on a rebuilt
-/// engine with fresh, non-pooled state under bounded exponential backoff.
-/// Bit flips, when injected, hit only attempt 0 — retries and the rebuilt
-/// reference pass stay clean, which is what keeps the sweep's bit-identity
-/// check meaningful under fault injection.
-#[allow(clippy::too_many_arguments)]
+/// One sweep worker: its chunk of sources on one pooled engine, each
+/// source one supervised run ([`Supervisor`]). A fault — a run failing
+/// certification, or a panic — discards the engine *and its device* (a
+/// corrupted CSR or parked buffer must not outlive detection: re-parking
+/// it would checksum the corrupted contents) and re-executes the source on
+/// a rebuilt engine. Bit flips, when injected, hit only attempt 0 —
+/// retries and the rebuilt reference pass stay clean, which is what keeps
+/// the sweep's bit-identity check meaningful under fault injection.
 fn sweep_worker(
-    args: &Args,
-    g: &Csr,
-    cfg: XbfsConfig,
+    w: &SweepCtx<'_>,
     part: &[u32],
-    plan: Option<&BitflipPlan>,
-    sup: Option<(f64, u32)>,
-    max_pool_bytes: Option<u64>,
-    rec: &Recorder,
     track: usize,
-    t0: &std::time::Instant,
 ) -> Result<(Vec<SweepRec>, SweepHealth), CliError> {
-    let now_us = || t0.elapsed().as_secs_f64() * 1e6;
+    let (rec, now_us) = (w.rec, || w.t0.elapsed().as_secs_f64() * 1e6);
     let mut health = SweepHealth::default();
-    let mk = || -> Result<Device, CliError> {
-        let dev = mk_device(args, cfg.required_streams())?;
-        dev.set_pool_limit(max_pool_bytes);
-        Ok(dev)
-    };
     let span = rec.begin_span(None, names::span::SWEEP, track, now_us());
     rec.span_attr(span, "worker", AttrValue::U64(track as u64));
     rec.span_attr(span, "runs", AttrValue::U64(part.len() as u64));
+    let event = |name: &str, s: u32, mut attrs: Vec<(String, AttrValue)>| {
+        attrs.insert(0, ("source".into(), AttrValue::U64(u64::from(s))));
+        rec.event(Some(span), name, track, now_us(), attrs);
+    };
+    let attempt_attr = |a: u32| ("attempt".to_string(), AttrValue::U64(u64::from(a)));
 
+    // Pool pressure is read after an engine drops (its drop parks the BFS
+    // state, which is where a byte cap trims), so each generation's device
+    // is kept and read when the next one replaces it, or at the end.
+    let (mut device, mut pressure): (Option<Arc<Device>>, u64) = (None, 0);
+    let mut build = || {
+        let dev = Arc::new(mk_device(w.args, w.cfg.required_streams()).map_err(|e| e.message)?);
+        dev.set_pool_limit(w.max_pool_bytes);
+        if let Some(old) = device.replace(Arc::clone(&dev)) {
+            pressure += old.pool_pressure_events();
+        }
+        Xbfs::new(dev, w.g, w.cfg).map_err(|e| e.to_string())
+    };
+    let mut sup = Supervisor::default();
     let mut recs = Vec::with_capacity(part.len());
     let mut deadline_ms: Option<f64> = None;
-    let mut idx = 0usize; // next source in `part`
-    let mut attempt: u32 = 0; // retry attempt for part[idx]
-                              // Each iteration is one engine *generation*: a fresh device and a
-                              // fresh engine. A generation ends when the chunk completes, or when a
-                              // run fails certification — then the engine AND its device are
-                              // discarded, because a corrupted CSR or parked buffer must not
-                              // survive into the next generation (re-parking it would checksum the
-                              // corrupted contents). Pool pressure is read after the engine drops:
-                              // the drop parks its BFS state, which is where a byte cap trims.
-    while idx < part.len() {
-        let dev = mk()?;
-        let quarantined = {
-            let engine = Xbfs::new(&dev, g, cfg)?;
-            loop {
-                if idx >= part.len() {
-                    break None;
-                }
-                let s = part[idx];
-                let Some((deadline_factor, retries)) = sup else {
-                    let run = engine.run(s)?;
-                    recs.push(SweepRec {
-                        ms: run.total_ms,
-                        edges: run.traversed_edges,
-                        digest: run.digest(),
-                    });
-                    idx += 1;
-                    continue;
-                };
-                // Injection targets attempt 0 only: retries run clean, so
-                // a corrected run is bit-identical to the rebuilt
-                // reference.
-                let sab = (attempt == 0)
-                    .then(|| {
-                        plan.map(|p| Sabotage {
-                            plan: p,
-                            salt: u64::from(s),
-                        })
-                    })
-                    .flatten();
-                let opts = RunOpts {
-                    sabotage: sab.as_ref(),
-                    certify: true,
-                    ..RunOpts::default()
-                };
-                match engine.run_governed(s, &opts) {
-                    Ok((run, _cert)) => {
-                        health.certified += 1;
-                        if attempt > 0 {
-                            health.corrected += 1;
-                        }
-                        // The first certified run calibrates the worker's
-                        // modeled-time deadline; exceedances are flagged
-                        // in health (and the trace), not failures.
-                        let dl = *deadline_ms.get_or_insert(run.total_ms * deadline_factor);
-                        if run.total_ms > dl {
-                            health.deadline_exceeded += 1;
-                            rec.event(
-                                Some(span),
-                                names::event::DEADLINE_EXCEEDED,
-                                track,
-                                now_us(),
-                                vec![
-                                    ("source".into(), AttrValue::U64(u64::from(s))),
-                                    ("modeled_ms".into(), AttrValue::F64(run.total_ms)),
-                                    ("deadline_ms".into(), AttrValue::F64(dl)),
-                                ],
-                            );
-                        }
-                        recs.push(SweepRec {
-                            ms: run.total_ms,
-                            edges: run.traversed_edges,
-                            digest: run.digest(),
-                        });
-                        idx += 1;
-                        attempt = 0;
-                    }
-                    Err(XbfsError::Integrity(e)) => {
-                        health.sdc_detected += 1;
-                        rec.event(
-                            Some(span),
-                            names::event::SDC_DETECTED,
-                            track,
-                            now_us(),
-                            vec![
-                                ("source".into(), AttrValue::U64(u64::from(s))),
-                                ("attempt".into(), AttrValue::U64(u64::from(attempt))),
-                                ("error".into(), AttrValue::Str(e.to_string())),
-                            ],
-                        );
-                        if attempt == 0 {
-                            health.quarantined += 1;
-                            rec.event(
-                                Some(span),
-                                names::event::QUARANTINED,
-                                track,
-                                now_us(),
-                                vec![("source".into(), AttrValue::U64(u64::from(s)))],
-                            );
-                        }
-                        break Some(IntegrityFailure {
-                            source: s,
-                            retries,
-                            error: e,
-                        });
-                    }
-                    Err(other) => return Err(other.into()),
-                }
+    for &s in part {
+        let attempt = |engine: &mut Xbfs<Arc<Device>>, attempt: u32| {
+            if attempt > 0 {
+                event(names::event::REEXECUTED, s, vec![attempt_attr(attempt)]);
             }
-        }; // engine dropped here; its state parks into the pool
-        health.pool_pressure_events += dev.pool_pressure_events();
-        let Some(fail) = quarantined else { break };
-        health.engine_rebuilds += 1;
-        if attempt >= fail.retries {
-            return Err(CliError::new(
-                format!(
-                    "IntegrityError: source {} failed certification after {} \
-                     attempt(s): {}",
-                    fail.source,
-                    attempt + 1,
-                    fail.error
-                ),
-                exit_code::INTEGRITY,
-            ));
+            // Injection targets attempt 0 only: retries run clean, so a
+            // corrected run is bit-identical to the rebuilt reference.
+            let salt = u64::from(s);
+            let sab = (attempt == 0).then(|| w.plan.map(|plan| Sabotage { plan, salt }));
+            let sab = sab.flatten();
+            let opts = RunOpts {
+                sabotage: sab.as_ref(),
+                certify: w.certify.is_some(),
+                ..RunOpts::default()
+            };
+            match engine.run_governed(s, &opts) {
+                Ok((run, _)) => Ok(Ok(run)),
+                Err(XbfsError::Integrity(e)) => Err(Fault::from(e)),
+                Err(other) => Ok(Err(other)),
+            }
+        };
+        let on_fault = |_: &mut _, fault: &Fault, attempt: u32| {
+            health.sdc_detected += 1;
+            let error = ("error".into(), AttrValue::Str(fault.msg.clone()));
+            event(
+                names::event::SDC_DETECTED,
+                s,
+                vec![attempt_attr(attempt), error],
+            );
+            if attempt == 0 {
+                health.quarantined += 1;
+                event(names::event::QUARANTINED, s, vec![]);
+            }
+        };
+        let run = match sup.run(
+            0..w.retries.saturating_add(1),
+            &mut build,
+            attempt,
+            on_fault,
+        ) {
+            Ok(run) => run?,
+            Err(GaveUp::Build(msg)) => return Err(CliError::new(msg, exit_code::INVALID_INPUT)),
+            Err(GaveUp::Exhausted { fault, attempts }) => {
+                // The attempt faults on certification only; anything else
+                // is a contained panic.
+                let (head, what, code) = match fault.kind {
+                    "integrity" => (
+                        "IntegrityError:",
+                        "failed certification",
+                        exit_code::INTEGRITY,
+                    ),
+                    _ => ("sweep:", "panicked", exit_code::GENERIC),
+                };
+                let why = format!(
+                    "{head} source {s} {what} after {attempts} attempt(s): {}",
+                    fault.msg
+                );
+                return Err(CliError::new(why, code));
+            }
+        };
+        if let Some(deadline_factor) = w.certify {
+            health.certified += 1;
+            // The first certified run calibrates the worker's modeled-time
+            // deadline; exceedances are flagged in health (and the trace),
+            // not failures.
+            let dl = *deadline_ms.get_or_insert(run.total_ms * deadline_factor);
+            if run.total_ms > dl {
+                health.deadline_exceeded += 1;
+                let modeled = ("modeled_ms".into(), AttrValue::F64(run.total_ms));
+                let deadline = ("deadline_ms".into(), AttrValue::F64(dl));
+                event(names::event::DEADLINE_EXCEEDED, s, vec![modeled, deadline]);
+            }
         }
-        std::thread::sleep(std::time::Duration::from_millis(1 << attempt.min(6)));
-        attempt += 1;
-        health.reexecuted += 1;
-        rec.event(
-            Some(span),
-            names::event::REEXECUTED,
-            track,
-            now_us(),
-            vec![
-                ("source".into(), AttrValue::U64(u64::from(fail.source))),
-                ("attempt".into(), AttrValue::U64(u64::from(attempt))),
-            ],
-        );
+        recs.push(SweepRec {
+            ms: run.total_ms,
+            edges: run.traversed_edges,
+            digest: run.digest(),
+        });
     }
+    drop(sup); // the last engine parks its state into the pool
+    health.pool_pressure_events = pressure + device.map_or(0, |d| d.pool_pressure_events());
     rec.counter(
         names::metric::POOL_PRESSURE_EVENTS,
         track,
@@ -1218,34 +1176,31 @@ fn sweep(args: &Args) -> Result<String, CliError> {
     };
     let sources = pick_sources(&g, n, seed);
     let n = sources.len(); // graphs smaller than --sources yield fewer
-    let sup = verify.then_some((deadline_factor, retries));
     let (trace_opt, recorder) = trace_setup(args)?;
+    mk_device(args, cfg.required_streams())?; // a bad device option is a usage error
 
     // Pooled pass: one engine per OS thread. Each engine owns its device,
     // uploads the graph once, and recycles its BFS state across its whole
     // chunk of sources via the epoch-based O(frontier) reset.
     let chunk = n.div_ceil(threads);
-    let t0 = std::time::Instant::now();
+    let ctx = SweepCtx {
+        args,
+        g: &g,
+        cfg,
+        plan: plan.as_ref(),
+        certify: verify.then_some(deadline_factor),
+        retries,
+        max_pool_bytes,
+        rec: &recorder,
+        t0: std::time::Instant::now(),
+    };
     let mut pooled: Vec<SweepRec> = Vec::with_capacity(n);
     let mut health = SweepHealth::default();
     std::thread::scope(|scope| -> Result<(), CliError> {
         let mut handles = Vec::new();
         for (track, part) in sources.chunks(chunk).enumerate() {
-            let (g, rec, t0, plan) = (&g, &recorder, &t0, plan.as_ref());
-            handles.push(scope.spawn(move || {
-                sweep_worker(
-                    args,
-                    g,
-                    cfg,
-                    part,
-                    plan,
-                    sup,
-                    max_pool_bytes,
-                    rec,
-                    track,
-                    t0,
-                )
-            }));
+            let ctx = &ctx;
+            handles.push(scope.spawn(move || sweep_worker(ctx, part, track)));
         }
         for h in handles {
             // A panicking worker thread must not take the whole sweep's
@@ -1261,7 +1216,7 @@ fn sweep(args: &Args) -> Result<String, CliError> {
         }
         Ok(())
     })?;
-    let pooled_wall = t0.elapsed().as_secs_f64();
+    let pooled_wall = ctx.t0.elapsed().as_secs_f64();
 
     // Rebuild pass: the unpooled in-process path — a fresh device, a fresh
     // graph upload, freshly allocated BFS state per source. This is the
@@ -1388,6 +1343,7 @@ fn sweep(args: &Args) -> Result<String, CliError> {
          results bit-identical (checksum {ck_pooled:#018x})\n"
     ));
     out.push_str(&multi_txt);
+    let (reexecuted, corrected, aborted, engine_rebuilds) = health.derived();
     if verify {
         out.push_str(&format!(
             "supervisor: {}/{n} certified, {} SDC detected, {} quarantined, \
@@ -1395,14 +1351,14 @@ fn sweep(args: &Args) -> Result<String, CliError> {
             health.certified,
             health.sdc_detected,
             health.quarantined,
-            health.reexecuted,
-            health.corrected,
-            health.aborted,
+            reexecuted,
+            corrected,
+            aborted,
         ));
         out.push_str(&format!(
             "            {} deadline exceedance(s), {} pool pressure event(s), \
              {} engine rebuild(s)\n",
-            health.deadline_exceeded, health.pool_pressure_events, health.engine_rebuilds,
+            health.deadline_exceeded, health.pool_pressure_events, engine_rebuilds,
         ));
     } else if let Some(cap) = max_pool_bytes {
         out.push_str(&format!(
@@ -1437,12 +1393,12 @@ fn sweep(args: &Args) -> Result<String, CliError> {
             health.certified,
             health.sdc_detected,
             health.quarantined,
-            health.reexecuted,
-            health.corrected,
-            health.aborted,
+            reexecuted,
+            corrected,
+            aborted,
             health.deadline_exceeded,
             health.pool_pressure_events,
-            health.engine_rebuilds,
+            engine_rebuilds,
         );
         std::fs::write(json_path, json)
             .map_err(|e| CliError::io(format!("cannot write {json_path}: {e}")))?;
@@ -2152,6 +2108,14 @@ mod tests {
         // An unparsable bit-flip spec is the user's fault, not corruption.
         let err = run(&["bfs", &path, "--verify", "--inject-bitflips", "bogus"]).unwrap_err();
         assert_eq!(err.code, exit_code::INVALID_INPUT, "{err}");
+    }
+
+    #[test]
+    fn bare_flag_before_the_file_is_still_a_flag() {
+        let path = tmp("g25.bin");
+        run(&["generate", "--out", &path, "--scale", "9"]).unwrap();
+        let out = run(&["bfs", "--verify", &path]).unwrap();
+        assert!(out.contains("certified:"), "{out}");
     }
 
     #[test]

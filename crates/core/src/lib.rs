@@ -14,7 +14,8 @@
 //!   thread/wave/group kernels ([`strategy::topdown`]),
 //! * the adaptive `α`-controller ([`controller`]),
 //! * the host-side runner with per-level sync, counter readback and the
-//!   single-stream consolidation of §IV-B ([`runner`]), and
+//!   single-stream consolidation of §IV-B ([`runner`]),
+//! * quarantine-and-replay supervision of any engine ([`supervise`]), and
 //! * the §V-F bandwidth-efficiency analysis ([`efficiency`]).
 //!
 //! # Quick start
@@ -45,6 +46,7 @@ pub mod runner;
 pub mod state;
 pub mod stats;
 pub mod strategy;
+pub mod supervise;
 pub mod tuner;
 
 pub use concurrent::{ms_bfs, MsBfs, MsBfsRun, MAX_CONCURRENT};
@@ -62,4 +64,5 @@ pub use runner::{RunOpts, Xbfs};
 pub use state::{decode_level, is_unvisited, BfsState, BinThresholds, QueueState, UNVISITED};
 pub use stats::{levels_digest, BfsRun, LevelStats};
 pub use strategy::Strategy;
+pub use supervise::{Fault, GaveUp, Supervisor};
 pub use tuner::{tune_alpha, TuneResult};

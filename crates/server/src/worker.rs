@@ -3,11 +3,13 @@
 //! Each worker thread owns one warm engine — a pooled single-device
 //! [`Xbfs`] or, for `--cluster N` servers, a partitioned [`GcdCluster`]
 //! spanning N modeled GCDs — and pops jobs off the admission queue until
-//! it drains. Execution runs under `catch_unwind`: a panicking engine, a
-//! run failing certification, or a cluster rank crash that checkpoint/
-//! restart could not recover is **quarantined**: the engine (and, for the
-//! single-device backend, its device) is discarded, a fresh one is built,
-//! and the request is replayed with injection stripped. Because a fresh
+//! it drains. Execution runs under [`xbfs_core::supervise`]: a panicking
+//! engine, a run failing certification, or a cluster rank crash that
+//! checkpoint/restart could not recover is **quarantined**: the engine
+//! (and, for the single-device backend, its device) is discarded, a fresh
+//! one is built, and the request is replayed with injection stripped. This
+//! module keeps only the server's bookkeeping around that policy (gauges,
+//! counters, flight dumps, breaker, events). Because a fresh
 //! engine reproduces the exact result of a single-shot run, a replayed
 //! response carries the same digest as a fault-free execution — the e2e
 //! tests assert this through the socket.
@@ -27,12 +29,14 @@
 //! wait first; whatever remains is granted to the run as a modeled-time
 //! budget (see DESIGN.md §10 for why the two clocks are fungible).
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{mpsc, Arc};
 use std::time::Instant;
 
 use gcd_sim::Device;
-use xbfs_core::{BitflipPlan, MsBfs, RunOpts, Sabotage, Xbfs, XbfsError, MAX_CONCURRENT};
+use xbfs_core::{
+    BitflipPlan, Fault, GaveUp, MsBfs, RunOpts, Sabotage, Supervisor, Xbfs, XbfsError,
+    MAX_CONCURRENT,
+};
 use xbfs_graph::Csr;
 use xbfs_multi_gcd::{ClusterConfig, ClusterError, FaultConfig, FaultPlan, GcdCluster, LinkModel};
 use xbfs_telemetry::{names, AttrValue};
@@ -83,42 +87,33 @@ fn build_engine<'g>(shared: &Shared, graph: &'g Csr) -> Result<Engine<'g>, Strin
     }
 }
 
-/// Drop a possibly-poisoned engine without letting its destructor take
-/// the worker down: after a panic mid-run the pool bookkeeping may be
-/// arbitrarily wrong, and `Drop` parks buffers back into it.
-fn discard(engine: &mut Option<Engine<'_>>) {
-    if let Some(e) = engine.take() {
-        let _ = catch_unwind(AssertUnwindSafe(move || drop(e)));
-    }
-}
-
 /// The worker thread body: pop until the queue drains, serve each job
 /// with quarantine-and-replay, then park the final engine generation.
 pub(crate) fn worker_loop(shared: Arc<Shared>, worker_idx: usize) {
     // The cluster engine borrows the graph; holding our own Arc clone
-    // (declared before `engine`, so dropped after it) pins it.
+    // (declared before `sup`, so dropped after it) pins it.
     let graph = Arc::clone(&shared.graph);
-    let mut engine: Option<Engine<'_>> = None;
+    let mut sup: Supervisor<Engine<'_>> = Supervisor::default();
     let width = shared.cfg.batch_width.clamp(1, MAX_CONCURRENT);
     if width > 1 && shared.cfg.cluster.is_none() {
         let linger =
             std::time::Duration::from_secs_f64(shared.cfg.batch_window_ms.max(0.0) / 1000.0);
         while let Some(batch) = shared.queue.pop_batch(width, linger) {
-            serve_batch(&shared, &graph, &mut engine, batch, worker_idx);
+            serve_batch(&shared, &graph, &mut sup, batch, worker_idx);
         }
     } else {
         while let Some((ticket, job)) = shared.queue.pop() {
-            serve_one(&shared, &graph, &mut engine, ticket, job, worker_idx);
+            serve_one(&shared, &graph, &mut sup, ticket, job, worker_idx);
         }
     }
     // Normal teardown: the engine is healthy, let Drop park its buffers.
-    drop(engine);
+    drop(sup);
 }
 
 fn serve_one<'g>(
     shared: &Shared,
     graph: &'g Csr,
-    engine: &mut Option<Engine<'g>>,
+    sup: &mut Supervisor<Engine<'g>>,
     ticket: u64,
     job: Job,
     worker_idx: usize,
@@ -143,7 +138,7 @@ fn serve_one<'g>(
         format!("id={id} source={} wait_ms={wait_ms:.1}", job.req.source),
     );
 
-    let outcome = execute(shared, graph, engine, ticket, &job, wait_ms, worker_idx, 0);
+    let outcome = execute(shared, graph, sup, ticket, &job, wait_ms, worker_idx, 0);
     rec.span_attr(span, "status", AttrValue::Str(outcome.status.into()));
     rec.span_attr(
         span,
@@ -155,7 +150,7 @@ fn serve_one<'g>(
     // The device's pool totals only move while this worker runs, so
     // sampling once per request keeps the series current without
     // touching the hot path inside the run.
-    sample_engine_pool(shared, worker_idx, engine);
+    sample_engine(shared, worker_idx, sup.engine_mut());
     m.flight.note(
         worker_idx,
         "request.finish",
@@ -219,13 +214,9 @@ impl Outcome {
     }
 }
 
-/// What one engine attempt decided.
-enum Step {
-    /// Terminal: answer the client with this outcome.
-    Finish(Outcome),
-    /// Quarantine the engine and replay (injection stripped).
-    Retry { kind: &'static str, msg: String },
-}
+/// What one attempt decided: a terminal outcome for the client, or a
+/// fault that quarantines the engine and replays.
+type Attempted = Result<Outcome, Fault>;
 
 /// Everything one attempt needs, bundled so the per-backend runners stay
 /// readable.
@@ -237,7 +228,6 @@ struct Attempt<'a> {
     ticket: u64,
     wait_ms: f64,
     attempt: u32,
-    worker: usize,
 }
 
 /// What a request is granted by the checks it passes before an engine
@@ -298,20 +288,20 @@ fn grant(shared: &Shared, req: &BfsRequest, wait_ms: f64) -> Result<Grant, Outco
     })
 }
 
-/// Serve one request through the attempt/quarantine loop. `prior_attempts`
-/// pre-charges attempts already spent elsewhere (a failed batch attempt
-/// counts as one), so replayed batch members report honest attempt counts
-/// and burn their retry budget accordingly.
+/// Serve one request as one supervised run. `first` pre-charges attempts
+/// already spent elsewhere (a failed batch attempt counts as one), so
+/// replayed batch members report honest attempt counts and burn their
+/// retry budget accordingly.
 #[allow(clippy::too_many_arguments)]
 fn execute<'g>(
     shared: &Shared,
     graph: &'g Csr,
-    engine: &mut Option<Engine<'g>>,
+    sup: &mut Supervisor<Engine<'g>>,
     ticket: u64,
     job: &Job,
     wait_ms: f64,
     worker: usize,
-    prior_attempts: u32,
+    first: u32,
 ) -> Outcome {
     let id = job.req.id;
     let grant = match grant(shared, &job.req, wait_ms) {
@@ -321,22 +311,7 @@ fn execute<'g>(
     let flip_plan = (grant.chaos == ChaosAction::Bitflip)
         .then(|| BitflipPlan::parse("status:1").expect("static chaos bitflip spec parses"));
 
-    // A pre-charged attempt never eats the whole budget: a replayed
-    // batch member always gets at least one solo attempt.
-    let max_attempts = (shared.cfg.max_retries + 1).max(prior_attempts + 1);
-    let mut attempt = prior_attempts;
-    loop {
-        if engine.is_none() {
-            match build_engine(shared, graph) {
-                Ok(e) => *engine = Some(e),
-                Err(err) => {
-                    shared.breaker.record_failure();
-                    let line = protocol::error_line(id, "engine", &err);
-                    return Outcome::new("error", attempt + 1, line);
-                }
-            }
-        }
-
+    let attempt = |engine: &mut Engine<'g>, attempt: u32| {
         // Injection targets attempt 0 only, so a replay after quarantine
         // runs clean and reproduces the fault-free result bit for bit.
         let act = if attempt == 0 {
@@ -355,36 +330,33 @@ fn execute<'g>(
             ticket,
             wait_ms,
             attempt,
-            worker,
         };
-        let step = match engine.as_mut().expect("just built") {
+        match engine {
             Engine::Single(eng) => ctx.run_single(eng, flip_plan.as_ref()),
             Engine::Batch(eng) => ctx.run_batch_solo(eng),
-            Engine::Cluster(cluster) => {
-                let step = ctx.run_cluster(cluster, graph);
-                // Drain per-rank health every attempt — before any
-                // quarantine discards the engine — so crashes, restores
-                // and retransmits survive into the serve report.
-                shared.metrics.merge_rank_health(&cluster.take_health());
-                step
-            }
-        };
-        match step {
-            Step::Finish(outcome) => return outcome,
-            Step::Retry { kind, msg } => {
-                quarantine(shared, engine, kind, ticket, worker);
-                attempt += 1;
-                if attempt >= max_attempts {
-                    return give_up(shared, id, attempt, kind, &msg, worker);
-                }
-            }
+            Engine::Cluster(cluster) => ctx.run_cluster(cluster, graph),
         }
+    };
+    let on_fault = |e: &mut Engine<'g>, f: &Fault, _| quarantine(shared, e, f, ticket, worker);
+    let build = || build_engine(shared, graph);
+    match sup.run(
+        first..shared.cfg.max_retries.saturating_add(1),
+        build,
+        attempt,
+        on_fault,
+    ) {
+        Ok(outcome) => outcome,
+        Err(GaveUp::Build(err)) => {
+            shared.breaker.record_failure();
+            Outcome::new("error", first + 1, protocol::error_line(id, "engine", &err))
+        }
+        Err(GaveUp::Exhausted { fault, attempts }) => give_up(shared, id, attempts, &fault, worker),
     }
 }
 
 impl Attempt<'_> {
-    /// Fire an injected panic on this attempt (runs inside
-    /// `catch_unwind`).
+    /// Fire an injected panic on this attempt (the supervisor contains
+    /// it).
     fn chaos_panic(&self) {
         if self.act == ChaosAction::Panic {
             panic!("chaos: injected worker panic (ticket {})", self.ticket);
@@ -392,25 +364,25 @@ impl Attempt<'_> {
     }
 
     /// One attempt on the warm pooled single-device engine.
-    fn run_single(&self, eng: &Xbfs<Device>, flip_plan: Option<&BitflipPlan>) -> Step {
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            self.chaos_panic();
-            let salt = self.ticket;
-            let sab = (self.act == ChaosAction::Bitflip)
-                .then(|| flip_plan.map(|plan| Sabotage { plan, salt }))
-                .flatten();
-            let opts = RunOpts {
-                sabotage: sab.as_ref(),
-                deadline_ms: self.grant.run_budget_ms,
-                certify: self.grant.verify,
-                ..RunOpts::default()
-            };
-            let (run, cert) = eng.run_governed(self.job.req.source, &opts)?;
-            let (id, attempts, certified) = (self.job.req.id, self.attempt + 1, cert.is_some());
-            let line = protocol::ok_line(id, &run, certified, self.wait_ms, attempts);
-            Ok(line)
-        }));
-        self.settle(result)
+    fn run_single(&self, eng: &Xbfs<Device>, flip_plan: Option<&BitflipPlan>) -> Attempted {
+        self.chaos_panic();
+        let salt = self.ticket;
+        let sab = (self.act == ChaosAction::Bitflip)
+            .then(|| flip_plan.map(|plan| Sabotage { plan, salt }))
+            .flatten();
+        let opts = RunOpts {
+            sabotage: sab.as_ref(),
+            deadline_ms: self.grant.run_budget_ms,
+            certify: self.grant.verify,
+            ..RunOpts::default()
+        };
+        let (run, cert) = match eng.run_governed(self.job.req.source, &opts) {
+            Ok(done) => done,
+            Err(e) => return self.settle(e),
+        };
+        let (id, attempts, certified) = (self.job.req.id, self.attempt + 1, cert.is_some());
+        let line = protocol::ok_line(id, &run, certified, self.wait_ms, attempts);
+        Ok(self.ok(line))
     }
 
     /// One attempt on the bit-parallel multi-source engine, run 1-wide:
@@ -418,39 +390,31 @@ impl Attempt<'_> {
     /// replay path after a batch quarantine or deadline split). Responses
     /// carry the slot's levels-only digest, so every `ok` a batch-width
     /// server emits — coalesced or solo — is digest-comparable.
-    fn run_batch_solo(&self, eng: &MsBfs<Device>) -> Step {
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            self.chaos_panic();
-            let (source, g) = ([self.job.req.source], self.grant);
-            let (run, certs) = eng.run_governed(&source, g.run_budget_ms, g.verify)?;
-            let (id, attempts, certified) = (self.job.req.id, self.attempt + 1, certs.is_some());
-            let line = protocol::batched_ok_line(id, &run, 0, certified, self.wait_ms, attempts, 1);
-            Ok(line)
-        }));
-        self.settle(result)
+    fn run_batch_solo(&self, eng: &MsBfs<Device>) -> Attempted {
+        self.chaos_panic();
+        let (source, g) = ([self.job.req.source], self.grant);
+        let (run, certs) = match eng.run_governed(&source, g.run_budget_ms, g.verify) {
+            Ok(done) => done,
+            Err(e) => return self.settle(e),
+        };
+        let (id, attempts, certified) = (self.job.req.id, self.attempt + 1, certs.is_some());
+        let line = protocol::batched_ok_line(id, &run, 0, certified, self.wait_ms, attempts, 1);
+        Ok(self.ok(line))
     }
 
-    /// Map a single-device attempt (its `ok` line, or why not) to the
-    /// next step.
-    fn settle(&self, result: std::thread::Result<Result<String, XbfsError>>) -> Step {
-        match result {
-            Ok(Ok(line)) => Step::Finish(self.ok(line)),
-            Ok(Err(XbfsError::DeadlineExceeded {
+    /// Map a single-device engine error to a terminal outcome, or to a
+    /// fault that quarantines the engine.
+    fn settle(&self, e: XbfsError) -> Attempted {
+        match e {
+            XbfsError::DeadlineExceeded {
                 elapsed_us,
                 deadline_us,
                 ..
-            })) => Step::Finish(self.timeout(elapsed_us, deadline_us)),
-            Ok(Err(XbfsError::Integrity(e))) => Step::Retry {
-                kind: "integrity",
-                msg: e.to_string(),
-            },
+            } => Ok(self.timeout(elapsed_us, deadline_us)),
+            XbfsError::Integrity(e) => Err(e.into()),
             // Client-input errors (bad source, …): typed, no retry, and
             // no breaker penalty — the substrate is fine.
-            Ok(Err(other)) => Step::Finish(self.error("invalid", &other.to_string())),
-            Err(payload) => Step::Retry {
-                kind: "panic",
-                msg: self.note_panic(payload.as_ref()),
-            },
+            other => Ok(self.error("invalid", &other.to_string())),
         }
     }
 
@@ -473,7 +437,7 @@ impl Attempt<'_> {
     /// One attempt on the partitioned cluster engine. A `Crash` action
     /// becomes a one-run [`FaultPlan`]; the engine recovers it from the
     /// latest checkpoint within the remaining deadline budget.
-    fn run_cluster(&self, cluster: &mut GcdCluster<'_>, graph: &Csr) -> Step {
+    fn run_cluster(&self, cluster: &mut GcdCluster<'_>, graph: &Csr) -> Attempted {
         let shared = self.shared;
         let ticket = self.ticket;
         let fault_cfg = match self.act {
@@ -484,7 +448,7 @@ impl Attempt<'_> {
                         checkpoint_every: shared.cfg.checkpoint_every,
                         ..FaultConfig::default()
                     },
-                    Err(e) => return Step::Finish(self.error("usage", &e.to_string())),
+                    Err(e) => return Ok(self.error("usage", &e.to_string())),
                 }
             }
             _ => FaultConfig {
@@ -492,18 +456,15 @@ impl Attempt<'_> {
                 ..FaultConfig::default()
             },
         };
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            self.chaos_panic();
-            cluster.run_governed(
-                self.job.req.source,
-                &fault_cfg,
-                &xbfs_telemetry::Recorder::disabled(),
-                self.grant.run_budget_ms,
-            )
-        }));
-
+        self.chaos_panic();
+        let result = cluster.run_governed(
+            self.job.req.source,
+            &fault_cfg,
+            &xbfs_telemetry::Recorder::disabled(),
+            self.grant.run_budget_ms,
+        );
         match result {
-            Ok(Ok(run)) => {
+            Ok(run) => {
                 // The cluster engine has no certificate machinery; its
                 // certification is a host-side validation of the level
                 // array against the graph. A failure is treated exactly
@@ -513,10 +474,8 @@ impl Attempt<'_> {
                     if let Err(e) =
                         xbfs_graph::validate_bfs_levels(graph, self.job.req.source, &run.levels)
                     {
-                        return Step::Retry {
-                            kind: "integrity",
-                            msg: format!("cluster result failed validation: {e:?}"),
-                        };
+                        let msg = format!("cluster result failed validation: {e:?}");
+                        return Err(Fault::new("integrity", msg));
                     }
                 }
                 // Per-level modeled-time split: how much of this run went
@@ -541,7 +500,7 @@ impl Attempt<'_> {
                         ],
                     );
                 }
-                Step::Finish(self.ok(protocol::cluster_ok_line(
+                Ok(self.ok(protocol::cluster_ok_line(
                     self.job.req.id,
                     &run,
                     self.grant.verify,
@@ -550,25 +509,18 @@ impl Attempt<'_> {
                     recoveries,
                 )))
             }
-            Ok(Err(ClusterError::DeadlineExceeded {
+            Err(ClusterError::DeadlineExceeded {
                 elapsed_us,
                 deadline_us,
                 ..
-            })) => Step::Finish(self.timeout(elapsed_us, deadline_us)),
-            Ok(Err(e @ (ClusterError::Unrecoverable { .. } | ClusterError::LinkFailed { .. }))) => {
-                // Checkpoint/restart could not save this run — the whole
-                // cluster engine is suspect. Quarantine it and replay the
-                // victim request on a rebuilt cluster.
-                Step::Retry {
-                    kind: "unrecoverable",
-                    msg: e.to_string(),
-                }
+            }) => Ok(self.timeout(elapsed_us, deadline_us)),
+            // Checkpoint/restart could not save this run — the whole
+            // cluster engine is suspect. Quarantine it and replay the
+            // victim request on a rebuilt cluster.
+            Err(e @ (ClusterError::Unrecoverable { .. } | ClusterError::LinkFailed { .. })) => {
+                Err(Fault::new("unrecoverable", e.to_string()))
             }
-            Ok(Err(other)) => Step::Finish(self.error("invalid", &other.to_string())),
-            Err(payload) => Step::Retry {
-                kind: "panic",
-                msg: self.note_panic(payload.as_ref()),
-            },
+            Err(other) => Ok(self.error("invalid", &other.to_string())),
         }
     }
 
@@ -579,23 +531,12 @@ impl Attempt<'_> {
         let line = protocol::timeout_line(id, "run", wait_ms + elapsed_ms, wait_ms + deadline_ms);
         Outcome::new("timeout", self.attempt + 1, line)
     }
-
-    /// Count + record a contained panic, returning its message.
-    fn note_panic(&self, payload: &(dyn std::any::Any + Send)) -> String {
-        record_panic(self.shared, self.worker, self.ticket, payload)
-    }
 }
 
-/// Count + record a contained panic, returning its message. Dumps the
-/// flight recorder: a panic is exactly the moment the recent per-worker
-/// event rings earn their keep.
-fn record_panic(
-    shared: &Shared,
-    worker: usize,
-    ticket: u64,
-    payload: &(dyn std::any::Any + Send),
-) -> String {
-    let msg = panic_message(payload);
+/// Count + record a contained panic. Dumps the flight recorder: a panic
+/// is exactly the moment the recent per-worker event rings earn their
+/// keep.
+fn record_panic(shared: &Shared, worker: usize, ticket: u64, msg: &str) {
     if let Some(w) = shared.metrics.workers.get(worker) {
         w.panics.add(1);
     }
@@ -611,19 +552,22 @@ fn record_panic(
         shared.now_us(),
         vec![
             ("ticket".into(), AttrValue::U64(ticket)),
-            ("message".into(), AttrValue::Str(msg.clone())),
+            ("message".into(), AttrValue::Str(msg.into())),
         ],
     );
-    msg
 }
 
-fn quarantine(
-    shared: &Shared,
-    engine: &mut Option<Engine<'_>>,
-    why: &str,
-    ticket: u64,
-    worker: usize,
-) {
+/// The server's record of a fault, made while the supervisor still holds
+/// the doomed engine: per-rank health of a cluster attempt (panicked ones
+/// included) reaches the per-rank series before the engine is discarded.
+fn quarantine(shared: &Shared, engine: &mut Engine<'_>, fault: &Fault, ticket: u64, worker: usize) {
+    if let Engine::Cluster(cluster) = engine {
+        shared.metrics.merge_rank_health(&cluster.take_health());
+    }
+    if fault.kind == "panic" {
+        record_panic(shared, worker, ticket, &fault.msg);
+    }
+    let why = fault.kind;
     let m = &shared.metrics;
     if let Some(w) = m.workers.get(worker) {
         w.state.set(WORKER_QUARANTINED);
@@ -632,7 +576,6 @@ fn quarantine(
     m.flight
         .note(worker, "quarantine", format!("ticket={ticket} why={why}"));
     m.dump_flight(&format!("quarantine-{why}"));
-    discard(engine);
     if let Some(w) = m.workers.get(worker) {
         w.state.set(WORKER_RUNNING); // rebuilding + replaying next
     }
@@ -648,14 +591,8 @@ fn quarantine(
     );
 }
 
-fn give_up(
-    shared: &Shared,
-    id: u64,
-    attempts: u32,
-    kind: &str,
-    msg: &str,
-    worker: usize,
-) -> Outcome {
+fn give_up(shared: &Shared, id: u64, attempts: u32, fault: &Fault, worker: usize) -> Outcome {
+    let kind = fault.kind;
     if shared.breaker.record_failure() {
         shared.metrics.flight.note(
             worker,
@@ -671,17 +608,18 @@ fn give_up(
             vec![("kind".into(), AttrValue::Str(kind.into()))],
         );
     }
-    let why = format!("uncorrected after {attempts} attempts: {msg}");
+    let why = format!("uncorrected after {attempts} attempts: {}", fault.msg);
     Outcome::new("error", attempts, protocol::error_line(id, kind, &why))
 }
 
-/// Sample the single-device pool gauges of whichever warm engine this
-/// worker holds (the cluster backend has no device pool).
-fn sample_engine_pool(shared: &Shared, worker: usize, engine: &Option<Engine<'_>>) {
-    match engine.as_ref() {
+/// Sample whichever warm engine this worker holds: the single-device
+/// pool gauges, or the cluster's per-rank health since the last drain.
+fn sample_engine(shared: &Shared, worker: usize, engine: Option<&mut Engine<'_>>) {
+    match engine {
         Some(Engine::Single(e)) => shared.metrics.sample_pool(worker, e.device().pool_gauges()),
         Some(Engine::Batch(e)) => shared.metrics.sample_pool(worker, e.device().pool_gauges()),
-        _ => {}
+        Some(Engine::Cluster(c)) => shared.metrics.merge_rank_health(&c.take_health()),
+        None => {}
     }
 }
 
@@ -746,16 +684,14 @@ fn triage(shared: &Shared, ticket: u64, job: Job, worker: usize) -> Option<Membe
 fn replay_member<'g>(
     shared: &Shared,
     graph: &'g Csr,
-    engine: &mut Option<Engine<'g>>,
+    sup: &mut Supervisor<Engine<'g>>,
     mut mb: Member,
     worker: usize,
 ) {
     // Injection fired (or was stripped) on the batch attempt already.
     mb.job.req.chaos = None;
     let wait_ms = mb.job.enqueued.elapsed().as_secs_f64() * 1000.0;
-    let outcome = execute(
-        shared, graph, engine, mb.ticket, &mb.job, wait_ms, worker, 1,
-    );
+    let outcome = execute(shared, graph, sup, mb.ticket, &mb.job, wait_ms, worker, 1);
     finish(shared, worker, &mb.job, mb.had_chaos, outcome);
 }
 
@@ -769,7 +705,7 @@ fn replay_member<'g>(
 fn serve_batch<'g>(
     shared: &Shared,
     graph: &'g Csr,
-    engine: &mut Option<Engine<'g>>,
+    sup: &mut Supervisor<Engine<'g>>,
     batch: Vec<(u64, Job)>,
     worker: usize,
 ) {
@@ -802,10 +738,7 @@ fn serve_batch<'g>(
         .into_iter()
         .filter_map(|(t, j)| triage(shared, t, j, worker))
         .collect();
-    'run: {
-        if members.is_empty() {
-            break 'run;
-        }
+    if !members.is_empty() {
         // Duplicate sources share one slot: answered once, demuxed many.
         let mut sources: Vec<u32> = Vec::new();
         for mb in &mut members {
@@ -837,33 +770,41 @@ fn serve_batch<'g>(
         if let Some(ms) = slowest.max() {
             std::thread::sleep(std::time::Duration::from_millis(ms));
         }
-        if engine.is_none() {
-            match build_engine(shared, graph) {
-                Ok(e) => *engine = Some(e),
-                Err(err) => {
-                    shared.breaker.record_failure();
-                    for mb in members {
-                        let line = protocol::error_line(mb.job.req.id, "engine", &err);
-                        let failed = Outcome::new("error", 1, line);
-                        finish(shared, worker, &mb.job, mb.had_chaos, failed);
-                    }
-                    break 'run;
-                }
-            }
-        }
-        let result = {
-            let Some(Engine::Batch(eng)) = engine.as_ref() else {
+        let attempt = |engine: &mut Engine<'g>, _| {
+            let Engine::Batch(eng) = engine else {
                 unreachable!("batch workers always build the batch engine")
             };
-            catch_unwind(AssertUnwindSafe(|| {
-                if panic_injected {
-                    panic!("chaos: injected worker panic (batch ticket0 {first_ticket})");
+            if panic_injected {
+                panic!("chaos: injected worker panic (batch ticket0 {first_ticket})");
+            }
+            match eng.run_governed(&sources, budget, verify) {
+                Ok(done) => Ok(Some(done)),
+                // The tightest budget bound everyone; the engine is
+                // healthy. Split: re-run each member solo under its own
+                // budget, so nobody times out *because* of coalescing.
+                Err(XbfsError::DeadlineExceeded { .. }) => {
+                    let why = format!("size={} why=deadline", members.len());
+                    m.flight.note(worker, "batch.split", why);
+                    Ok(None)
                 }
-                eng.run_governed(&sources, budget, verify)
-            }))
+                Err(XbfsError::Integrity(e)) => {
+                    m.flight.note(worker, "batch.integrity", format!("{e}"));
+                    Err(e.into())
+                }
+                // Sources were validated at triage, so no member input
+                // explains this; treat the engine as poisoned.
+                Err(other) => {
+                    m.flight.note(worker, "batch.error", format!("{other}"));
+                    Err(Fault::new("engine-error", other.to_string()))
+                }
+            }
         };
-        let quarantined = match result {
-            Ok(Ok((run, certs))) => {
+        let on_fault =
+            |e: &mut Engine<'g>, f: &Fault, _| quarantine(shared, e, f, first_ticket, worker);
+        // One batch attempt; a split or a quarantine replays every member
+        // solo from attempt 1.
+        match sup.run(0..1, || build_engine(shared, graph), attempt, on_fault) {
+            Ok(Some((run, certs))) => {
                 shared.breaker.record_success();
                 let served = members.len();
                 for mb in members {
@@ -880,52 +821,26 @@ fn serve_batch<'g>(
                     let done = Outcome::new("ok", 1, line);
                     finish(shared, worker, &mb.job, mb.had_chaos, done);
                 }
-                break 'run;
             }
-            Ok(Err(XbfsError::DeadlineExceeded { .. })) => {
-                // The tightest budget bound everyone; the engine is
-                // healthy. Split: re-run each member solo under its own
-                // budget, so nobody times out *because* of coalescing.
-                let why = format!("size={} why=deadline", members.len());
-                m.flight.note(worker, "batch.split", why);
-                None
+            Ok(None) | Err(GaveUp::Exhausted { .. }) => {
+                for mb in members {
+                    replay_member(shared, graph, sup, mb, worker);
+                }
             }
-            Ok(Err(XbfsError::Integrity(e))) => {
-                m.flight.note(worker, "batch.integrity", format!("{e}"));
-                Some("integrity")
+            Err(GaveUp::Build(err)) => {
+                shared.breaker.record_failure();
+                for mb in members {
+                    let line = protocol::error_line(mb.job.req.id, "engine", &err);
+                    let failed = Outcome::new("error", 1, line);
+                    finish(shared, worker, &mb.job, mb.had_chaos, failed);
+                }
             }
-            // Sources were validated at triage, so no member input
-            // explains this; treat the engine as poisoned.
-            Ok(Err(other)) => {
-                m.flight.note(worker, "batch.error", format!("{other}"));
-                Some("engine-error")
-            }
-            Err(payload) => {
-                record_panic(shared, worker, first_ticket, payload.as_ref());
-                Some("panic")
-            }
-        };
-        if let Some(why) = quarantined {
-            quarantine(shared, engine, why, first_ticket, worker);
-        }
-        for mb in members {
-            replay_member(shared, graph, engine, mb, worker);
         }
     }
-    sample_engine_pool(shared, worker, engine);
+    sample_engine(shared, worker, sup.engine_mut());
     m.flight
         .note(worker, "batch.finish", format!("ticket0={first_ticket}"));
     if let Some(w) = m.workers.get(worker) {
         w.state.set(WORKER_IDLE);
-    }
-}
-
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "opaque panic payload".to_string()
     }
 }

@@ -15,7 +15,7 @@ use std::time::Duration;
 use common::{drain_clean, reference_digest, reference_levels_digest, start, try_start, Client};
 use xbfs_graph::generators::erdos_renyi;
 use xbfs_graph::Csr;
-use xbfs_server::{run_loadgen, ChaosPlan, LoadgenConfig, ServeConfig};
+use xbfs_server::{protocol, run_loadgen, ChaosPlan, LoadgenConfig, ServeConfig};
 
 fn test_graph() -> Arc<Csr> {
     Arc::new(erdos_renyi(3000, 12_000, 7))
@@ -85,6 +85,43 @@ fn worker_panic_is_contained_and_replay_is_bit_identical() {
     assert_eq!(report.panics_recovered, 1);
     assert_eq!(report.rebuilds, 1);
     assert_eq!(report.replayed, 1);
+}
+
+#[test]
+fn exhausted_retries_answer_typed_and_the_next_request_runs_on_a_rebuilt_engine() {
+    let g = test_graph();
+    let cfg = ServeConfig {
+        allow_chaos: true,
+        workers: 1,
+        max_retries: 0,
+        breaker_threshold: 1,
+        breaker_cooldown_ms: 0,
+        ..ServeConfig::default()
+    };
+    let handle = start(cfg, Arc::clone(&g));
+    let mut c = Client::connect(handle.addr());
+
+    // One allowed attempt, and it panics: no replay, a typed error.
+    let line = c.roundtrip(
+        "{\"v\":\"xbfs-serve-v1\",\"op\":\"bfs\",\"id\":1,\"source\":17,\"chaos\":\"panic\"}",
+    );
+    let r = protocol::parse_response(&line).unwrap();
+    assert_eq!(r.status, "error", "{line}");
+    assert_eq!(r.kind.as_deref(), Some("panic"), "{line}");
+    assert!(line.contains("uncorrected after 1 attempts"), "{line}");
+
+    // The failure tripped the breaker; with no cooldown the next request
+    // is its probe, served clean on the rebuilt engine.
+    let r = c.bfs(2, 17, "");
+    assert_eq!(r.status, "ok", "{r:?}");
+    assert_eq!(r.attempts, Some(1));
+    assert_eq!(r.digest.as_deref(), Some(reference_digest(&g, 17).as_str()));
+
+    let report = drain_clean(handle);
+    assert_eq!(report.breaker_trips, 1, "{report:?}");
+    assert_eq!(report.panics_recovered, 1);
+    assert_eq!(report.rebuilds, 1);
+    assert_eq!(report.replayed, 0);
 }
 
 #[test]

@@ -5,7 +5,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 echo "==> cargo build --release --workspace"
-cargo build --release --workspace --benches --examples
+cargo build --release --workspace --bins --examples
 
 echo "==> cargo test --workspace"
 cargo test -q --workspace --no-fail-fast

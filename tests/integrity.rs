@@ -3,7 +3,9 @@
 //! fault-free runs are bit-identical to the unverified hot path.
 
 use gcd_sim::Device;
-use xbfs_core::{BfsRun, BitflipPlan, RunOpts, Sabotage, Xbfs, XbfsConfig, XbfsError};
+use xbfs_core::{
+    BfsRun, BitflipPlan, Fault, GaveUp, RunOpts, Sabotage, Supervisor, Xbfs, XbfsConfig, XbfsError,
+};
 use xbfs_graph::Dataset;
 
 const SHIFT: u32 = 10;
@@ -159,4 +161,51 @@ fn parked_buffer_corruption_is_caught_by_the_pool_sweep() {
         ),
         "expected a pool integrity error, got {err:?}"
     );
+}
+
+/// The one recovery policy, end to end on a real engine: attempt 0 is
+/// sabotaged and fails certification, the supervisor quarantines the
+/// engine and its device, and the replay on a rebuilt engine returns the
+/// clean result bit for bit. With one allowed attempt it gives up instead.
+#[test]
+fn supervised_replay_after_detected_corruption_matches_the_clean_run() {
+    let g = Dataset::Rmat23.generate(SHIFT, 3);
+    let cfg = XbfsConfig {
+        record_parents: true,
+        ..XbfsConfig::default()
+    };
+    let source = 5;
+    let clean = engine(&Device::mi250x(), &g).run(source).unwrap().digest();
+    let plan = BitflipPlan::parse("status:1,seed=7").unwrap();
+    let build = || Xbfs::new(Device::mi250x(), &g, cfg).map_err(|e| e.to_string());
+    let attempt = |eng: &mut Xbfs<Device>, attempt: u32| {
+        let sab = Sabotage {
+            plan: &plan,
+            salt: 0,
+        };
+        let opts = RunOpts {
+            sabotage: (attempt == 0).then_some(&sab),
+            certify: true,
+            ..RunOpts::default()
+        };
+        match eng.run_governed(source, &opts) {
+            Ok((run, _)) => Ok((run.digest(), attempt + 1)),
+            Err(XbfsError::Integrity(e)) => Err(Fault::from(e)),
+            Err(other) => panic!("unexpected {other:?}"),
+        }
+    };
+
+    let mut sup = Supervisor::default();
+    let mut faults = Vec::new();
+    let got = sup.run(0..3, build, attempt, |_, f, i| faults.push((f.kind, i)));
+    assert_eq!(got, Ok((clean, 2)), "replayed on attempt 2, bit-identical");
+    assert_eq!(faults, vec![("integrity", 0)]);
+
+    let mut once = Supervisor::default();
+    match once.run(0..1, build, attempt, |_, _, _| {}) {
+        Err(GaveUp::Exhausted { fault, attempts }) => {
+            assert_eq!((fault.kind, attempts), ("integrity", 1), "{}", fault.msg);
+        }
+        other => panic!("one allowed attempt must give up, got {other:?}"),
+    }
 }
